@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <string_view>
-#include <thread>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -77,6 +78,7 @@ class Connection {
   Connection(int fd, const WorkloadShape& shape, const RunWindow& window,
              std::int64_t t0, const RunHooks& hooks, RunResult& out)
       : fd_(fd),
+        start_(t0),
         binary_(shape.binary),
         slo_ms_(shape.slo_ms),
         hooks_(hooks),
@@ -101,7 +103,8 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  std::int64_t timed_begin() const { return timed_begin_; }
+  int fd() const { return fd_; }
+  std::int64_t start() const { return start_; }
   std::int64_t timed_end() const { return timed_end_; }
   std::int64_t drain_end() const { return drain_end_; }
   bool dead() const { return dead_; }
@@ -139,9 +142,8 @@ class Connection {
     wbuf_.clear();
   }
 
-  /// Waits up to `timeout_ns` for answers and processes what arrived.
-  void receive(std::int64_t timeout_ns) {
-    wait_readable(fd_, timeout_ns);
+  /// Reads whatever has arrived and processes every complete answer.
+  void pump() {
     char chunk[65536];
     while (true) {
       const ssize_t n = ::recv(fd_, chunk, sizeof chunk, MSG_DONTWAIT);
@@ -293,13 +295,13 @@ class Connection {
       return;
     }
     out_.latency_ms.push_back(ms);
-    out_.latency_at_ns.push_back(now);
     out_.timed_sent += p.msg.records.size();
     if (in_window) out_.timed_ok += ok_records;
     if (ms <= slo_ms_) out_.within_slo += ok_records;
   }
 
   int fd_;
+  std::int64_t start_;
   bool binary_;
   double slo_ms_;
   const RunHooks& hooks_;
@@ -312,30 +314,82 @@ class Connection {
   bool dead_ = false;
 };
 
-/// Runs `body(c, result)` on one thread per connection and merges.
-template <typename Body>
-RunResult run_threads(std::size_t connections, std::int64_t t0,
-                      const RunWindow& window, Body body) {
-  std::vector<RunResult> parts(connections);
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < connections; ++c) {
-    threads.emplace_back([&, c] { body(c, parts[c]); });
-  }
-  for (auto& t : threads) t.join();
-  RunResult all;
-  all.timed_begin_ns = t0 + static_cast<std::int64_t>(window.warmup_s * 1e9);
-  all.timed_end_ns =
-      all.timed_begin_ns + static_cast<std::int64_t>(window.seconds * 1e9);
-  for (auto& p : parts) all.merge(std::move(p));
-  return all;
-}
-
-/// Start instant shared by every connection thread of one run, 20 ms out
-/// so that every connection is open by then.
+/// Start instant of a run, 20 ms out so that every connection is open by
+/// then.
 std::int64_t start_instant(const RunHooks& hooks) {
   const std::int64_t t0 = now_ns() + 20'000'000;
   if (hooks.on_start) hooks.on_start(t0);
   return t0;
+}
+
+/// What a connection's sending policy returns: the instant it next wants
+/// to send, kNever to wait for an answer, or kDone once it sends no more.
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kDone = -1;
+
+/// Drives every connection from this one thread. `feed(c, conn, now)`
+/// queues what connection c sends at `now` and says when it next wants to
+/// send; answers are read on whichever connections have them. A connection
+/// is finished once it sends no more and has its answers (or its drain
+/// time has passed).
+template <typename Feed>
+RunResult run_connections(int port, const WorkloadShape& shape,
+                          const RunWindow& window, const RunHooks& hooks,
+                          Feed feed) {
+  RunResult out;
+  const std::int64_t t0 = start_instant(hooks);
+  out.timed_begin_ns = t0 + static_cast<std::int64_t>(window.warmup_s * 1e9);
+  out.timed_end_ns =
+      out.timed_begin_ns + static_cast<std::int64_t>(window.seconds * 1e9);
+  std::vector<std::unique_ptr<Connection>> conns;
+  for (std::size_t c = 0; c < shape.connections; ++c) {
+    const int fd = connect_loopback(port);
+    if (fd < 0) {
+      ++out.conn_errors;
+      out.note("cannot connect to port " + std::to_string(port));
+      conns.push_back(nullptr);
+      continue;
+    }
+    conns.push_back(
+        std::make_unique<Connection>(fd, shape, window, t0, hooks, out));
+  }
+  std::vector<bool> sending(conns.size(), true);
+  std::vector<pollfd> fds;
+  std::vector<Connection*> polled;
+  while (true) {
+    const std::int64_t now = now_ns();
+    std::int64_t wake = now + kPollSliceNs;
+    fds.clear();
+    polled.clear();
+    for (std::size_t c = 0; c < conns.size(); ++c) {
+      Connection* conn = conns[c].get();
+      if (conn == nullptr || conn->dead()) continue;
+      if (now < t0) {
+        wake = std::min(wake, t0);
+      } else if (sending[c]) {
+        const std::int64_t next = feed(c, *conn, now);
+        conn->flush();
+        if (next == kDone) sending[c] = false;
+        wake = std::min(wake, next == kDone ? kNever : next);
+      }
+      if (conn->dead() || (!sending[c] && (conn->inflight() == 0 ||
+                                            now >= conn->drain_end()))) {
+        continue;
+      }
+      fds.push_back({conn->fd(), POLLIN, 0});
+      polled.push_back(conn);
+    }
+    if (fds.empty()) break;
+    const std::int64_t timeout_ns =
+        std::clamp<std::int64_t>(wake - now_ns(), 0, kPollSliceNs);
+    const timespec ts{0, static_cast<long>(timeout_ns)};
+    ::ppoll(fds.data(), fds.size(), &ts, nullptr);
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents != 0) polled[i]->pump();
+    }
+  }
+  conns.clear();  // counts what is still in flight as missing
+  return out;
 }
 
 }  // namespace
@@ -383,37 +437,6 @@ std::string answer_text(const Response& r, bool binary) {
 
 void RunResult::note(std::string what) {
   if (failures.size() < kMaxNotes) failures.push_back(std::move(what));
-}
-
-void RunResult::merge(RunResult&& o) {
-  const auto append = [](auto& into, auto& from) {
-    into.insert(into.end(), from.begin(), from.end());
-  };
-  append(latency_ms, o.latency_ms);
-  append(latency_at_ns, o.latency_at_ns);
-  append(report_latency_ms, o.report_latency_ms);
-  append(lag_ms, o.lag_ms);
-  append(answer_ns, o.answer_ns);
-  attempted += o.attempted;
-  answered_ok += o.answered_ok;
-  not_ok += o.not_ok;
-  missing += o.missing;
-  conn_errors += o.conn_errors;
-  misordered += o.misordered;
-  timed_sent += o.timed_sent;
-  timed_ok += o.timed_ok;
-  within_slo += o.within_slo;
-  timed_reports += o.timed_reports;
-  report_walls_sent += o.report_walls_sent;
-  report_walls_counted += o.report_walls_counted;
-  for (auto& [key, canon] : o.answers) {
-    auto [it, inserted] = answers.try_emplace(key, canon);
-    if (inserted) continue;
-    for (const auto& [text, count] : canon.answers) {
-      it->second.answers[text] += count;
-    }
-  }
-  for (auto& f : o.failures) note(std::move(f));
 }
 
 int connect_loopback(int port) {
@@ -465,42 +488,24 @@ std::vector<std::string> roundtrip_lines(int port,
 RunResult run_closed_loop(int port, const WorkloadShape& shape,
                           std::vector<Generator>& gens,
                           const RunWindow& window, const RunHooks& hooks) {
-  const std::int64_t t0 = start_instant(hooks);
-  return run_threads(shape.connections, t0, window, [&](std::size_t c,
-                                                        RunResult& out) {
-    const int fd = connect_loopback(port);
-    if (fd < 0) {
-      ++out.conn_errors;
-      out.note("cannot connect to port " + std::to_string(port));
-      return;
+  const auto think_ns = static_cast<std::int64_t>(shape.report_think_s * 1e9);
+  std::vector<std::int64_t> next_send(shape.connections, 0);
+  return run_connections(port, shape, window, hooks, [&](std::size_t c,
+                                                         Connection& conn,
+                                                         std::int64_t now) {
+    if (now >= conn.timed_end()) return kDone;
+    if (c + shape.report_connections < shape.connections) {
+      while (conn.inflight() < shape.window) conn.queue(gens[c].next(), 0);
+      return kNever;
     }
-    Connection conn(fd, shape, window, t0, hooks, out);
     // A report stream sends one report at a time and pauses after each
     // answer: a closed loop with think time.
-    const bool reports = c + shape.report_connections >= shape.connections;
-    const std::size_t window = reports ? 1 : shape.window;
-    const std::int64_t think_ns =
-        reports ? static_cast<std::int64_t>(shape.report_think_s * 1e9) : 0;
-    std::int64_t next_send = 0;
-    while (now_ns() < t0) std::this_thread::yield();
-    while (!conn.dead()) {
-      const std::int64_t now = now_ns();
-      if (now < conn.timed_end()) {
-        while (conn.inflight() < window && now >= next_send) {
-          conn.queue(gens[c].next(), 0);
-          if (think_ns > 0) next_send = std::numeric_limits<std::int64_t>::max();
-        }
-        conn.flush();
-      } else if (conn.inflight() == 0 || now >= conn.drain_end()) {
-        break;
-      }
-      const std::size_t before = conn.inflight();
-      conn.receive(next_send > now ? std::min(kPollSliceNs, next_send - now)
-                                   : kPollSliceNs);
-      if (think_ns > 0 && conn.inflight() < before) {
-        next_send = now_ns() + think_ns;
-      }
-    }
+    if (conn.inflight() > 0) return kNever;
+    if (next_send[c] == kNever) next_send[c] = now + think_ns;
+    if (now < next_send[c]) return next_send[c];
+    conn.queue(gens[c].next(), 0);
+    next_send[c] = kNever;
+    return kNever;
   });
 }
 
@@ -516,6 +521,13 @@ RunResult drive(int port, Workload w, std::uint64_t seed,
   std::vector<Generator> gens;
   for (std::size_t c = 0; c < shape.connections; ++c) {
     gens.emplace_back(w, seed, c, budgets);
+    // A report's walls come from the simulator, which takes seconds on
+    // some configurations; computing them before the run keeps that out
+    // of the one client thread's measured time.
+    if (c + shape.report_connections >= shape.connections) {
+      gens.back().prefetch(static_cast<std::size_t>(
+          std::ceil((window.warmup_s + window.seconds) / shape.report_think_s)));
+    }
   }
   return run_closed_loop(port, shape, gens, window, hooks);
 }
@@ -540,32 +552,17 @@ bool warm_paper_sweeps(int port) {
 RunResult run_open_loop(int port, const WorkloadShape& shape,
                         const std::vector<Message>& schedule,
                         const RunWindow& window, const RunHooks& hooks) {
-  const std::int64_t t0 = start_instant(hooks);
-  return run_threads(shape.connections, t0, window, [&](std::size_t c,
-                                                        RunResult& out) {
-    const int fd = connect_loopback(port);
-    if (fd < 0) {
-      ++out.conn_errors;
-      out.note("cannot connect to port " + std::to_string(port));
-      return;
+  std::vector<std::size_t> next(shape.connections);
+  for (std::size_t c = 0; c < next.size(); ++c) next[c] = c;
+  return run_connections(port, shape, window, hooks, [&](std::size_t c,
+                                                         Connection& conn,
+                                                         std::int64_t now) {
+    std::size_t& i = next[c];
+    while (i < schedule.size() && conn.start() + schedule[i].due_ns <= now) {
+      conn.queue(schedule[i], conn.start() + schedule[i].due_ns);
+      i += shape.connections;
     }
-    Connection conn(fd, shape, window, t0, hooks, out);
-    std::size_t next = c;
-    while (!conn.dead()) {
-      const std::int64_t now = now_ns();
-      while (next < schedule.size() && t0 + schedule[next].due_ns <= now) {
-        conn.queue(schedule[next], t0 + schedule[next].due_ns);
-        next += shape.connections;
-      }
-      conn.flush();
-      if (next >= schedule.size() &&
-          (conn.inflight() == 0 || now >= conn.drain_end())) {
-        break;
-      }
-      conn.receive(next < schedule.size()
-                       ? t0 + schedule[next].due_ns - now_ns()
-                       : kPollSliceNs);
-    }
+    return i < schedule.size() ? conn.start() + schedule[i].due_ns : kDone;
   });
 }
 

@@ -2,9 +2,9 @@
 
 /// \file loadgen.hpp
 /// The client side: drives one workload over loopback TCP and records,
-/// per message, when it was due or sent and when its answer arrived. Each
-/// connection runs on its own thread, so a run uses exactly as many
-/// threads as connections.
+/// per message, when it was due or sent and when its answer arrived. One
+/// thread drives every connection of a run, polling them together, so the
+/// client holds one core however many connections it keeps open.
 ///
 /// Every answer is checked as it arrives: responses must come back in
 /// request order with the request's id. Answers are kept per distinct
@@ -68,9 +68,9 @@ struct RunResult {
   std::int64_t timed_begin_ns = 0;  ///< start of the measured window
   std::int64_t timed_end_ns = 0;    ///< end of the measured window
   /// Per measured message: latency from due (open loop) or send (closed
-  /// loop) to answer, ms. Report messages are kept apart.
+  /// loop) to answer, ms, including answers that arrive after the window.
+  /// Report messages are kept apart.
   std::vector<double> latency_ms;
-  std::vector<std::int64_t> latency_at_ns;  ///< when each latency_ms ended
   std::vector<double> report_latency_ms;
   std::vector<double> lag_ms;  ///< open loop: how late each send ran
   std::vector<std::int64_t> answer_ns;  ///< receive time of each ok record
@@ -89,7 +89,6 @@ struct RunResult {
   std::map<QuestionKey, Canon> answers;
   std::vector<std::string> failures;  ///< first few failure descriptions
 
-  void merge(RunResult&& other);
   /// Adds a failure description (keeps the first few).
   void note(std::string what);
 };

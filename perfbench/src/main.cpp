@@ -16,10 +16,12 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -126,8 +128,8 @@ std::vector<std::string> daemon_flags(const WorkloadShape& shape,
                                       const std::string& artifacts) {
   std::vector<std::string> flags = {"--artifacts", artifacts};
   if (shape.online) {
-    flags.insert(flags.end(), {"--online", "1", "--online-refit-interval",
-                               std::to_string(shape.refit_interval)});
+    flags.insert(flags.end(), {"--online", "1", "--online-min-refit-rows",
+                               std::to_string(shape.min_refit_rows)});
   }
   if (shape.fleet_shards > 0) {
     flags.insert(flags.end(), {"--fleet", std::to_string(shape.fleet_shards)});
@@ -159,6 +161,46 @@ std::vector<std::string> setup_requests(const WorkloadShape& shape) {
     }
   }
   return lines;
+}
+
+/// CPU time of the calling thread, s.
+double thread_cpu_s() {
+  rusage u{};
+  ::getrusage(RUSAGE_THREAD, &u);
+  return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+         static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec) / 1e6;
+}
+
+/// Counts of `at_ns` in each whole second of [begin, end).
+std::vector<std::uint64_t> per_second(const std::vector<std::int64_t>& at_ns,
+                                      std::int64_t begin, std::int64_t end) {
+  std::vector<std::uint64_t> counts(
+      static_cast<std::size_t>(std::max<std::int64_t>(1, (end - begin) / 1'000'000'000)));
+  for (const std::int64_t t : at_ns) {
+    if (t < begin || t >= end) continue;
+    const auto s = static_cast<std::size_t>((t - begin) / 1'000'000'000);
+    if (s < counts.size()) ++counts[s];
+  }
+  return counts;
+}
+
+/// The machine's CPU time from /proc/stat, in clock ticks.
+struct CpuTicks {
+  std::uint64_t total = 0;
+  std::uint64_t steal = 0;
+};
+
+CpuTicks host_ticks() {
+  std::istringstream in(read_first_line("/proc/stat"));
+  std::string label;
+  in >> label;
+  CpuTicks t;
+  std::uint64_t v = 0;
+  for (int field = 0; field < 8 && in >> v; ++field) {
+    t.total += v;
+    if (field == 7) t.steal = v;
+  }
+  return t;
 }
 
 using Record = std::map<std::string, std::string>;
@@ -288,17 +330,6 @@ const std::vector<Printed> kPerLayer = {
     {"sim.estimate_job_ms", "ms"},
     {"serve.fleet.router_hop_p50_us", "us"},
     {"serve.fleet.shard_balance", "ratio"},
-    {"process.ctx_switches_per_answer", "count"},
-    {"trace_overhead_share", "share"},
-};
-
-/// Layers only the ungated workloads exercise (cold_open_loop: jobs and
-/// the open-loop generator; feedback_mix: reports and online learning).
-/// Every traced run prints them, but they stay out of the result JSON.
-const std::vector<Printed> kUngatedLayer = {
-    {"serve.server.service_p50_us.job", "us"},
-    {"serve.server.service_p99_us.job", "us"},
-    {"loadgen.lag_p99_ms", "ms"},
     {"serve.server.service_p50_us.report", "us"},
     {"serve.server.service_p99_us.report", "us"},
     {"serve.online.incremental_updates", "count"},
@@ -308,6 +339,17 @@ const std::vector<Printed> kUngatedLayer = {
     {"serve.online.cache_invalidated", "count"},
     {"reports_per_s", "1/s"},
     {"report_latency_p99_ms", "ms"},
+    {"process.ctx_switches_per_answer", "count"},
+    {"trace_overhead_share", "share"},
+};
+
+/// Layers only the ungated cold_open_loop exercises (simulator jobs and
+/// the open-loop generator). Every traced run prints them, but they stay
+/// out of the result JSON.
+const std::vector<Printed> kUngatedLayer = {
+    {"serve.server.service_p50_us.job", "us"},
+    {"serve.server.service_p99_us.job", "us"},
+    {"loadgen.lag_p99_ms", "ms"},
 };
 
 int run(const Args& args) {
@@ -400,7 +442,13 @@ int run(const Args& args) {
   RunWindow window;
   window.seconds = args.seconds;
   window.warmup_s = shape.warmup_s;
+  const CpuTicks host_before = host_ticks();
+  const double client_before = thread_cpu_s();
+  const std::int64_t drive_start = now_ns();
   RunResult res = drive(port, w, args.seed, budgets, window);
+  const double client_cpu_s = thread_cpu_s() - client_before;
+  const double drive_s = static_cast<double>(now_ns() - drive_start) / 1e9;
+  const CpuTicks host_after = host_ticks();
   const ProcSample proc_after = daemon->sample();
   const Record after = stats_of(port);
   phase("measure");
@@ -450,14 +498,10 @@ int run(const Args& args) {
 
   Metrics e2e;
   e2e["answers_per_s"] = static_cast<double>(res.timed_ok) / args.seconds;
-  e2e["latency_p50_ms"] = windowed_percentile(
-      res.latency_ms, res.latency_at_ns, res.timed_begin_ns, res.timed_end_ns,
-      50.0);
-  e2e["latency_p99_ms"] = windowed_percentile(
-      res.latency_ms, res.latency_at_ns, res.timed_begin_ns, res.timed_end_ns,
-      99.0);
-
+  // Pooled over every measured message, answered in the window or after.
   const LatencySummary lat = summarize(res.latency_ms);  // sorts in place
+  e2e["latency_p50_ms"] = lat.p50;
+  e2e["latency_p99_ms"] = lat.p99;
   const LatencySummary rep_lat = summarize(res.report_latency_ms);
   const LatencySummary lag = summarize(res.lag_ms);
   const double answers = static_cast<double>(std::max<std::uint64_t>(
@@ -492,6 +536,18 @@ int run(const Args& args) {
     std::printf("e2e %-34s %14.6g ms (%zu samples)\n", "report_latency_p99_ms",
                 rep_lat.p99, rep_lat.count);
   }
+  std::printf("client cpu %.4f ms per answer (one thread, %.1f%% of the run)\n",
+              client_cpu_s * 1e3 / answers, 100.0 * client_cpu_s / drive_s);
+  std::printf("host cpu steal %.1f%% while driving\n",
+              100.0 * static_cast<double>(host_after.steal - host_before.steal) /
+                  static_cast<double>(std::max<std::uint64_t>(
+                      1, host_after.total - host_before.total)));
+  std::printf("answers per second of the window:");
+  for (const std::uint64_t n : per_second(res.answer_ns, res.timed_begin_ns,
+                                          res.timed_end_ns)) {
+    std::printf(" %" PRIu64, n);
+  }
+  std::printf("\n");
   std::printf("phases:");
   for (std::size_t i = 1; i < phases.size(); ++i) {
     std::printf(" %s %.2f s", phases[i].first,

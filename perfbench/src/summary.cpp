@@ -53,38 +53,4 @@ double median(std::vector<double>& values) {
   return percentile(values, 50.0);
 }
 
-namespace {
-
-constexpr std::int64_t kSecondNs = 1'000'000'000;
-
-std::size_t whole_seconds(std::int64_t begin, std::int64_t end) {
-  return static_cast<std::size_t>(
-      std::max<std::int64_t>(1, (end - begin) / kSecondNs));
-}
-
-}  // namespace
-
-double windowed_percentile(const std::vector<double>& values,
-                           const std::vector<std::int64_t>& at_ns,
-                           std::int64_t begin, std::int64_t end, double p) {
-  std::vector<std::vector<double>> seconds(whole_seconds(begin, end));
-  std::vector<double> pooled;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (at_ns[i] < begin) continue;
-    const auto w = static_cast<std::size_t>((at_ns[i] - begin) / kSecondNs);
-    if (w >= seconds.size()) continue;
-    seconds[w].push_back(values[i]);
-    pooled.push_back(values[i]);
-  }
-  std::vector<double> per_second;
-  for (auto& s : seconds) {
-    if (samples_beyond(s.size(), p) < kTailSamples) {
-      std::sort(pooled.begin(), pooled.end());
-      return percentile(pooled, p);
-    }
-    std::sort(s.begin(), s.end());
-    per_second.push_back(percentile(s, p));
-  }
-  return median(per_second);
-}
 }  // namespace perfbench

@@ -53,12 +53,4 @@ LatencySummary summarize(std::vector<double>& values);
 /// Median of `values` (sorted in place); 0 for an empty sample.
 double median(std::vector<double>& values);
 
-/// Percentile `p` of samples `values` observed at `at_ns`, over the whole
-/// seconds of [begin, end): the median of the per-second percentiles when
-/// every second holds at least kTailSamples samples beyond p (a transient
-/// stall then moves one second, not the result), else the percentile of
-/// the pooled sample.
-double windowed_percentile(const std::vector<double>& values,
-                           const std::vector<std::int64_t>& at_ns,
-                           std::int64_t begin, std::int64_t end, double p);
 }  // namespace perfbench

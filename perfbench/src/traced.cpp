@@ -198,7 +198,7 @@ void run_traced(Workload w, std::uint64_t seed, double seconds,
   ccpred::serve::ServeOptions opt;  // serverd's defaults
   opt.batch.enabled = true;
   opt.online.enabled = shape.online;
-  opt.online.refit_interval = shape.refit_interval;
+  opt.online.min_refit_rows = shape.min_refit_rows;
   ccpred::serve::Server server(registry, opt);
   SpanTracer tracer;
 

@@ -20,6 +20,8 @@ namespace {
 
 /// Keys drawn for feedback_mix: about 4x the daemon's 256-sweep cache.
 constexpr std::size_t kFeedbackKeys = 1000;
+/// Seed of the feedback_mix key set (fixed across workload seeds).
+constexpr std::uint64_t kFeedbackKeySeed = 2025;
 /// Zipf exponent of the feedback key popularity.
 constexpr double kZipfExponent = 1.0;
 /// Share of cold_open_loop arrivals repeating a recent (in-flight) question.
@@ -29,7 +31,7 @@ constexpr double kJobShare = 0.15;
 /// Share of fleet_binary records drawn from the cold support box.
 constexpr double kFleetColdShare = 0.25;
 /// feedback_mix reports on kDriftMachine scale their walls by kDriftScale,
-/// so drift trips there.
+/// so the drift detector trips there (no refit follows; see shape_of).
 constexpr double kDriftScale = 1.6;
 constexpr const char* kDriftMachine = "frontier";
 /// Wall times carried by one feedback report.
@@ -106,6 +108,9 @@ WorkloadShape shape_of(Workload w) {
       // preemption (at 4 x 32 the p99 doubled whenever the box was busy).
       s.window = 8;
       s.prewarm = true;
+      // A lone cache-hit question takes about 0.07 ms; with 32 in flight
+      // the median waits about 0.28 ms behind the others by design.
+      s.slo_ms = 0.5;
       break;
     case Workload::kColdOpenLoop:
       s.arrival_rate = 300.0;
@@ -115,14 +120,11 @@ WorkloadShape shape_of(Workload w) {
       s.report_connections = 1;
       // Measured runs are rarer than questions: a report every ~50 ms.
       s.report_think_s = 0.05;
-      // Refits on a report cadence keep one refit in flight all the time,
-      // so every measured second carries the same background training
-      // load; drift alone starts and stops refits at random moments.
-      s.refit_interval = 16;
+      // A refit needs more buffered rows than a run reports, so none
+      // starts: a background refit takes the CPU the reads need, and how
+      // many land in a run varies from run to run.
+      s.min_refit_rows = 1'000'000;
       s.online = true;
-      // Long enough for drift to trip and the first refit to start, so
-      // the measured window sees the loop's steady state.
-      s.warmup_s = 3.0;
       break;
     case Workload::kFleetBinary:
       // The router serializes round trips per shard, so one frame in
@@ -233,8 +235,10 @@ Generator::Generator(Workload w, std::uint64_t seed, std::size_t connection,
       rng_(mix(seed, 1 + connection)),
       paper_(paper_keys()) {
   if (w == Workload::kFeedbackMix) {
-    // One key set per seed, shared by every connection so hot keys repeat.
-    Rng key_rng(mix(seed, 0));
+    // One fixed key set, shared by every connection so hot keys repeat;
+    // the seed draws the sequence. Every seed then meets the same
+    // popularity, sweep costs and cache hit rate.
+    Rng key_rng(mix(kFeedbackKeySeed, 0));
     double total = 0.0;
     for (std::size_t rank = 0; rank < kFeedbackKeys; ++rank) {
       feedback_keys_.push_back(
@@ -310,7 +314,18 @@ Message Generator::fleet_frame() {
   return m;
 }
 
+void Generator::prefetch(std::size_t n) {
+  std::deque<Message> ahead;
+  for (std::size_t i = 0; i < n; ++i) ahead.push_back(next());
+  prefetched_.insert(prefetched_.end(), ahead.begin(), ahead.end());
+}
+
 Message Generator::next() {
+  if (!prefetched_.empty()) {
+    Message m = std::move(prefetched_.front());
+    prefetched_.pop_front();
+    return m;
+  }
   Message m;
   switch (workload_) {
     case Workload::kWarmPipelined:

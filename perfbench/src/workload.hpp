@@ -20,13 +20,15 @@
 ///  * feedback_mix — closed loop against `--online 1`; 3 connections ask
 ///    STQ/BQ over a Zipf draw from ~1000 in-support keys (partial hit
 ///    rate), 1 connection streams `report` batches whose walls are scaled
-///    on one machine so drift trips and promotions invalidate the cache.
+///    on one machine so drift trips. Reports are ingested, deduplicated and
+///    absorbed into the live surrogate; no refit can start within a run.
 ///  * fleet_binary — closed loop against `--fleet 2`; 4 connections each
 ///    keep one 16-record binary frame in flight, its records sharing one
 ///    destination shard; 3/4 warm paper keys, 1/4 cold in-support keys.
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -50,13 +52,14 @@ struct WorkloadShape {
   double arrival_rate = 0.0;      ///< open loop: arrivals per second
   std::size_t report_connections = 0;  ///< feedback_mix: report streams
   double report_think_s = 0.0;  ///< pause after each report answer
-  /// --online-refit-interval: accepted measurements between cadence refits.
-  std::size_t refit_interval = 0;
+  /// --online-min-refit-rows: buffered measurements before a refit.
+  std::size_t min_refit_rows = 0;
   bool binary = false;            ///< binary wire frames instead of JSON lines
   bool online = false;            ///< daemon runs with --online 1
   std::size_t fleet_shards = 0;   ///< daemon runs with --fleet N (0 = single)
-  /// Latency limit of `within_slo_share`, about 5x the lone p50 of one
-  /// message: a cold single-record request, or a 16-record frame.
+  /// Latency limit of `within_slo_share`, set per workload from the lone
+  /// p50 of its messages: about 5x a cold single-record request (20 ms) or
+  /// a 16-record frame (80 ms); 0.5 ms for cache-hit questions.
   double slo_ms = 20.0;
   /// Unmeasured traffic before the measured window.
   double warmup_s = 1.0;
@@ -99,6 +102,10 @@ class Generator {
   /// Next closed-loop message of this connection.
   Message next();
 
+  /// Generates the next `n` messages now, so that next() returns them
+  /// without computing; the stream is the same either way.
+  void prefetch(std::size_t n);
+
  private:
   ccpred::serve::Request warm_question(const Key& key);
   ccpred::serve::Request feedback_question();
@@ -116,6 +123,7 @@ class Generator {
   std::vector<Key> paper_;
   std::vector<Key> feedback_keys_;      ///< Zipf-ranked key set
   std::vector<double> feedback_cdf_;    ///< cumulative Zipf weights
+  std::deque<Message> prefetched_;
 };
 
 /// The whole open-loop schedule of cold_open_loop for `seconds` of

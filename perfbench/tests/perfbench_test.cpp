@@ -52,21 +52,6 @@ TEST(Percentile, SummaryReportsTailAndCount) {
   EXPECT_EQ(s.tail, 990.0);
 }
 
-TEST(Percentile, WindowedMedianIgnoresOneStalledSecond) {
-  std::vector<double> values;
-  std::vector<std::int64_t> at;
-  for (int second = 0; second < 5; ++second) {
-    for (int i = 0; i < 2000; ++i) {
-      values.push_back(second == 2 ? 100.0 : 1.0 + i % 10);
-      at.push_back(second * 1'000'000'000LL + i);
-    }
-  }
-  EXPECT_EQ(windowed_percentile(values, at, 0, 5'000'000'000LL, 99.0), 10.0);
-  // Too few samples per second for p99: the pooled sample decides.
-  const std::vector<double> few = {1, 2, 3};
-  const std::vector<std::int64_t> few_at = {0, 1'000'000'000, 2'000'000'000};
-  EXPECT_EQ(windowed_percentile(few, few_at, 0, 3'000'000'000LL, 99.0), 3.0);}
-
 BudgetTable unit_budgets() {
   BudgetTable b;
   for (const Key& k : paper_keys()) b[key_name(k.machine, k.o, k.v)] = 1.0;
@@ -100,6 +85,18 @@ TEST(RequestStream, SeedGivesByteIdenticalStream) {
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, stream_bytes(w, 7, budgets));
     EXPECT_NE(a, stream_bytes(w, 8, budgets));
+  }
+}
+
+TEST(RequestStream, PrefetchKeepsTheStream) {
+  const BudgetTable budgets = unit_budgets();
+  // Connection 3 of feedback_mix streams reports.
+  Generator live(Workload::kFeedbackMix, 5, 3, budgets);
+  Generator ahead(Workload::kFeedbackMix, 5, 3, budgets);
+  ahead.prefetch(4);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(encode_message(live.next(), false),
+              encode_message(ahead.next(), false));
   }
 }
 
