@@ -174,11 +174,12 @@ double thread_cpu_s() {
 /// Counts of `at_ns` in each whole second of [begin, end).
 std::vector<std::uint64_t> per_second(const std::vector<std::int64_t>& at_ns,
                                       std::int64_t begin, std::int64_t end) {
-  std::vector<std::uint64_t> counts(
-      static_cast<std::size_t>(std::max<std::int64_t>(1, (end - begin) / 1'000'000'000)));
+  constexpr std::int64_t kSecondNs = 1'000'000'000;
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(
+      std::max<std::int64_t>(1, (end - begin) / kSecondNs)));
   for (const std::int64_t t : at_ns) {
-    if (t < begin || t >= end) continue;
-    const auto s = static_cast<std::size_t>((t - begin) / 1'000'000'000);
+    if (t < begin) continue;
+    const auto s = static_cast<std::size_t>((t - begin) / kSecondNs);
     if (s < counts.size()) ++counts[s];
   }
   return counts;
