@@ -131,6 +131,10 @@ class Connection {
       Pending& p = inflight_[i];
       if (p.start_ns == 0) {
         p.start_ns = now;
+        if (p.msg.due_ns > 0 && now >= timed_begin_) {
+          out_.lag_ms.push_back(
+              static_cast<double>(now - start_ - p.msg.due_ns) / 1e6);
+        }
       } else if (p.start_ns >= timed_begin_) {
         out_.lag_ms.push_back(static_cast<double>(now - p.start_ns) / 1e6);
       }
@@ -485,27 +489,26 @@ std::vector<std::string> roundtrip_lines(int port,
   return replies;
 }
 
-RunResult run_closed_loop(int port, const WorkloadShape& shape,
-                          std::vector<Generator>& gens,
-                          const RunWindow& window, const RunHooks& hooks) {
-  const auto think_ns = static_cast<std::int64_t>(shape.report_think_s * 1e9);
-  std::vector<std::int64_t> next_send(shape.connections, 0);
+RunResult run_generated(int port, const WorkloadShape& shape,
+                        std::vector<Generator>& gens, const RunWindow& window,
+                        const RunHooks& hooks) {
+  std::vector<Message> ahead(shape.connections);
   return run_connections(port, shape, window, hooks, [&](std::size_t c,
                                                          Connection& conn,
                                                          std::int64_t now) {
     if (now >= conn.timed_end()) return kDone;
-    if (c + shape.report_connections < shape.connections) {
-      while (conn.inflight() < shape.window) conn.queue(gens[c].next(), 0);
-      return kNever;
+    const std::size_t window_c =
+        c + shape.report_connections < shape.connections ? shape.window : 1;
+    // What is due goes out while fewer than window_c messages wait for
+    // answers; one that is late goes out on the next answer.
+    if (ahead[c].records.empty()) ahead[c] = gens[c].next();
+    while (conn.inflight() < window_c &&
+           conn.start() + ahead[c].due_ns <= now) {
+      conn.queue(std::move(ahead[c]), 0);
+      ahead[c] = gens[c].next();
     }
-    // A report stream sends one report at a time and pauses after each
-    // answer: a closed loop with think time.
-    if (conn.inflight() > 0) return kNever;
-    if (next_send[c] == kNever) next_send[c] = now + think_ns;
-    if (now < next_send[c]) return next_send[c];
-    conn.queue(gens[c].next(), 0);
-    next_send[c] = kNever;
-    return kNever;
+    return conn.inflight() < window_c ? conn.start() + ahead[c].due_ns
+                                      : kNever;
   });
 }
 
@@ -526,10 +529,10 @@ RunResult drive(int port, Workload w, std::uint64_t seed,
     // of the one client thread's measured time.
     if (c + shape.report_connections >= shape.connections) {
       gens.back().prefetch(static_cast<std::size_t>(
-          std::ceil((window.warmup_s + window.seconds) / shape.report_think_s)));
+          std::ceil((window.warmup_s + window.seconds) * shape.report_rate)));
     }
   }
-  return run_closed_loop(port, shape, gens, window, hooks);
+  return run_generated(port, shape, gens, window, hooks);
 }
 
 bool warm_paper_sweeps(int port) {

@@ -112,11 +112,14 @@ struct RunHooks {
   std::function<void(std::int64_t t0)> on_start;
 };
 
-/// Closed loop: `gens[c]` feeds connection c, which keeps
-/// shape.window messages in flight.
-RunResult run_closed_loop(int port, const WorkloadShape& shape,
-                          std::vector<Generator>& gens,
-                          const RunWindow& window, const RunHooks& hooks = {});
+/// Generated traffic: `gens[c]` feeds connection c. A connection sends
+/// each message at its due time while fewer than shape.window messages
+/// (one on a report stream) wait for answers; a message that comes due
+/// while the window is full goes out on the next answer. Latency counts
+/// from the send.
+RunResult run_generated(int port, const WorkloadShape& shape,
+                        std::vector<Generator>& gens, const RunWindow& window,
+                        const RunHooks& hooks = {});
 
 /// Open loop: `schedule` (due offsets from the run start) is sent on time
 /// regardless of answers, message i on connection i % shape.connections.
@@ -125,8 +128,8 @@ RunResult run_open_loop(int port, const WorkloadShape& shape,
                         const std::vector<Message>& schedule,
                         const RunWindow& window, const RunHooks& hooks = {});
 
-/// Runs workload `w` at `port`: the closed loop over fresh generators, or
-/// the open-loop schedule covering the warm-up and the measured window.
+/// Runs workload `w` at `port`: its generators, or (cold_open_loop) the
+/// open-loop schedule covering the warm-up and the measured window.
 RunResult drive(int port, Workload w, std::uint64_t seed,
                 const BudgetTable& budgets, const RunWindow& window,
                 const RunHooks& hooks = {});

@@ -281,14 +281,15 @@ struct Printed {
   const char* unit;
 };
 
-/// The gated end-to-end metrics. latency_p99_ms is printed beside them but
-/// not gated: on a shared 4-vCPU box it follows preemption of the event
-/// loop thread (warm_pipelined read 0.59-1.42 ms over ten seeds while its
-/// p50 moved 2%).
+/// The gated end-to-end metrics. Client-observed latency (p50, p99 and
+/// the supported tail) is printed beside them but not gated: on a shared
+/// 4-vCPU VM it follows host CPU steal rather than the program. Over five
+/// feedback_mix seeds at 2-10% steal the p50 read 0.42-0.62 ms (IQR 29%
+/// of the median) while daemon CPU per answer moved 9%.
 const std::vector<Printed> kEndToEnd = {
-    {"answers_per_s", "1/s"},     {"latency_p50_ms", "ms"},
-    {"setup_s", "s"},             {"peak_rss_mb", "MB"},
-    {"cpu_ms_per_answer", "ms"},  {"within_slo_share", "share"},
+    {"answers_per_s", "1/s"},     {"setup_s", "s"},
+    {"peak_rss_mb", "MB"},        {"cpu_ms_per_answer", "ms"},
+    {"within_slo_share", "share"},
 };
 
 const std::vector<Printed> kPerLayer = {
@@ -342,15 +343,14 @@ const std::vector<Printed> kPerLayer = {
     {"report_latency_p99_ms", "ms"},
     {"process.ctx_switches_per_answer", "count"},
     {"trace_overhead_share", "share"},
+    {"loadgen.lag_p99_ms", "ms"},
 };
 
-/// Layers only the ungated cold_open_loop exercises (simulator jobs and
-/// the open-loop generator). Every traced run prints them, but they stay
-/// out of the result JSON.
+/// Simulator jobs, which only the ungated cold_open_loop sends. Every
+/// traced run prints them, but they stay out of the result JSON.
 const std::vector<Printed> kUngatedLayer = {
     {"serve.server.service_p50_us.job", "us"},
     {"serve.server.service_p99_us.job", "us"},
-    {"loadgen.lag_p99_ms", "ms"},
 };
 
 int run(const Args& args) {
@@ -527,6 +527,8 @@ int run(const Args& args) {
                   static_cast<double>(std::max<std::uint64_t>(1, res.attempted)),
               failed, res.attempted, res.not_ok, res.missing,
               res.misordered, verdict.wrong_records, res.conn_errors);
+  std::printf("e2e %-34s %14.6g ms (not gated)\n", "latency_p50_ms",
+              e2e["latency_p50_ms"]);
   std::printf("e2e %-34s %14.6g ms (not gated)\n", "latency_p99_ms",
               e2e["latency_p99_ms"]);
   std::printf("e2e %-34s %14.6g ms (p%g, %zu samples)\n", "latency_tail_ms",

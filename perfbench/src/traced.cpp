@@ -9,6 +9,8 @@
 #include <mutex>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "ccpred/common/strings.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/serialize.hpp"
@@ -129,6 +131,14 @@ class SpanTracer : public Tracer {
 
 double us(std::int64_t ns) { return static_cast<double>(ns) / 1e3; }
 
+/// User + system CPU of this process, s.
+double process_cpu_s() {
+  rusage u{};
+  ::getrusage(RUSAGE_SELF, &u);
+  return static_cast<double>(u.ru_utime.tv_sec + u.ru_stime.tv_sec) +
+         static_cast<double>(u.ru_utime.tv_usec + u.ru_stime.tv_usec) / 1e6;
+}
+
 /// Median seconds per call of `body` over `rounds` rounds of `calls`.
 template <typename F>
 double per_call_s(std::size_t rounds, std::size_t calls, F body) {
@@ -243,6 +253,7 @@ void run_traced(Workload w, std::uint64_t seed, double seconds,
   window.seconds = seconds;
   window.warmup_s = shape.warmup_s;
   std::vector<std::int64_t> bounds;
+  std::vector<double> cpu_at;  // process CPU seconds at each bound
   std::promise<std::int64_t> started;
   std::thread toggler([&, start = started.get_future()]() mutable {
     const std::int64_t begin =
@@ -253,6 +264,7 @@ void run_traced(Workload w, std::uint64_t seed, double seconds,
       std::this_thread::sleep_for(std::chrono::nanoseconds(at - now_ns()));
       tracer.enabled.store(i == 1 || i == 2);
       bounds.push_back(now_ns());
+      cpu_at.push_back(process_cpu_s());
     }
   });
   RunHooks hooks;
@@ -261,17 +273,18 @@ void run_traced(Workload w, std::uint64_t seed, double seconds,
   const RunResult result = drive(listener.port(), w, seed, budgets, window, hooks);
   toggler.join();
 
-  // Per-segment answer rates for the overhead.
+  // CPU per answer of the whole process (client, loop, workers) in each
+  // segment: the load is paced, so tracing shows as work, not as rate.
   double on = 0.0, off = 0.0;
   for (int i = 0; i < 4; ++i) {
     const auto n = std::count_if(
         result.answer_ns.begin(), result.answer_ns.end(),
         [&](std::int64_t t) { return t >= bounds[i] && t < bounds[i + 1]; });
-    const double rate = static_cast<double>(n) /
-                        (static_cast<double>(bounds[i + 1] - bounds[i]) / 1e9);
-    (i == 1 || i == 2 ? on : off) += rate / 2;
+    const double cpu_per_answer =
+        (cpu_at[i + 1] - cpu_at[i]) / static_cast<double>(std::max<long>(1, n));
+    (i == 1 || i == 2 ? on : off) += cpu_per_answer / 2;
   }
-  metrics["trace_overhead_share"] = off > 0 ? 1.0 - on / off : 0.0;
+  metrics["trace_overhead_share"] = on > 0 ? 1.0 - off / on : 0.0;
 
   std::vector<double> ingress, egress;
   std::map<int, std::vector<double>> service;

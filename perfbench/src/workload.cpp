@@ -103,23 +103,22 @@ WorkloadShape shape_of(Workload w) {
   WorkloadShape s;
   switch (w) {
     case Workload::kWarmPipelined:
-      // 32 requests in flight: enough for the scheduler to coalesce, while
-      // the event loop is not kept so saturated that its p99 is set by
-      // preemption (at 4 x 32 the p99 doubled whenever the box was busy).
-      s.window = 8;
+      // A third of the 30k/s first tried: at 22% host steal the daemon
+      // answered 14.7k/s of those.
+      s.arrival_rate = 10000.0;
+      s.window = 4;
       s.prewarm = true;
-      // A lone cache-hit question takes about 0.07 ms; with 32 in flight
-      // the median waits about 0.28 ms behind the others by design.
       s.slo_ms = 0.5;
       break;
     case Workload::kColdOpenLoop:
       s.arrival_rate = 300.0;
       break;
     case Workload::kFeedbackMix:
-      s.window = 4;
+      s.arrival_rate = 500.0;
+      s.window = 1;
       s.report_connections = 1;
-      // Measured runs are rarer than questions: a report every ~50 ms.
-      s.report_think_s = 0.05;
+      // Measured runs are rarer than questions: a report every 50 ms.
+      s.report_rate = 20.0;
       // A refit needs more buffered rows than a run reports, so none
       // starts: a background refit takes the CPU the reads need, and how
       // many land in a run varies from run to run.
@@ -127,8 +126,7 @@ WorkloadShape shape_of(Workload w) {
       s.online = true;
       break;
     case Workload::kFleetBinary:
-      // The router serializes round trips per shard, so one frame in
-      // flight per connection already keeps both shards busy.
+      s.arrival_rate = 50.0;
       s.window = 1;
       s.frame_records = 16;
       s.binary = true;
@@ -233,7 +231,17 @@ Generator::Generator(Workload w, std::uint64_t seed, std::size_t connection,
       connection_(connection),
       budgets_(budgets),
       rng_(mix(seed, 1 + connection)),
+      arrivals_(mix(seed, 0xa771 + connection)),
       paper_(paper_keys()) {
+  if (connection + shape_.report_connections >= shape_.connections) {
+    gap_ns_ = 1e9 / shape_.report_rate;
+    poisson_ = false;
+  } else if (shape_.arrival_rate > 0) {
+    gap_ns_ = 1e9 *
+              static_cast<double>(shape_.connections -
+                                  shape_.report_connections) /
+              shape_.arrival_rate;
+  }
   if (w == Workload::kFeedbackMix) {
     // One fixed key set, shared by every connection so hot keys repeat;
     // the seed draws the sequence. Every seed then meets the same
@@ -346,6 +354,13 @@ Message Generator::next() {
       throw ccpred::Error("cold_open_loop is scheduled, not generated");
   }
   m.id = ccpred::parse_int(m.records.front().id);
+  if (gap_ns_ > 0) {
+    m.due_ns = due_ns_;
+    // Questions: this connection's share of a Poisson stream. Reports:
+    // a fixed period, so every run absorbs the same number.
+    due_ns_ += static_cast<std::int64_t>(
+        poisson_ ? -std::log1p(-arrivals_.uniform()) * gap_ns_ : gap_ns_);
+  }
   return m;
 }
 

@@ -6,25 +6,31 @@
 /// table): the same inputs give a byte-identical request stream, and the
 /// daemon receives nothing but these requests.
 ///
-///  * warm_pipelined — closed loop; 4 connections each keep a window of
-///    single-record JSON lines in flight; STQ/BQ/budget over the 42 paper
-///    problem sizes, all sweeps cached before timing. Puts the event loop,
-///    parse/format, batch coalescing and cache-hit answers on the critical
-///    path with sweep compute absent.
+/// Questions are paced: each connection sends its share of a seeded
+/// Poisson stream at a fixed rate, with at most a small window waiting for
+/// answers, so a slower daemon shows as latency and CPU rather than as
+/// fewer requests, and a stalled host delays few requests.
+///
+///  * warm_pipelined — 10k questions/s over 4 connections, up to 4 in
+///    flight on each; STQ/BQ/budget over the 42 paper problem sizes, all
+///    sweeps cached before timing. Puts the event loop, parse/format,
+///    batch coalescing and cache-hit answers on the critical path with
+///    sweep compute absent.
 ///  * cold_open_loop — open loop; seeded Poisson arrivals at 300/s spread
 ///    over 4 pipelined connections, keys uniform over the training support
 ///    (far larger than the 256-sweep cache), ~10% repeats of a key still
 ///    in flight, 15% simulator `job` requests on configurations drawn
 ///    uniformly from the feasible grid. Sweep, predict and simulator
 ///    compute dominate.
-///  * feedback_mix — closed loop against `--online 1`; 3 connections ask
-///    STQ/BQ over a Zipf draw from ~1000 in-support keys (partial hit
-///    rate), 1 connection streams `report` batches whose walls are scaled
-///    on one machine so drift trips. Reports are ingested, deduplicated and
-///    absorbed into the live surrogate; no refit can start within a run.
-///  * fleet_binary — closed loop against `--fleet 2`; 4 connections each
-///    keep one 16-record binary frame in flight, its records sharing one
-///    destination shard; 3/4 warm paper keys, 1/4 cold in-support keys.
+///  * feedback_mix — against `--online 1`; 3 connections ask 500 STQ/BQ
+///    questions/s (one in flight each) over a Zipf draw from ~1000
+///    in-support keys (partial hit rate), 1 connection sends a `report`
+///    batch every 50 ms whose walls are scaled on one machine so drift
+///    trips. Reports are ingested, deduplicated and absorbed into the live
+///    surrogate; no refit can start within a run.
+///  * fleet_binary — against `--fleet 2`; 4 connections send 50 binary
+///    frames/s (one in flight each) of 16 records sharing one destination
+///    shard; 3/4 warm paper keys, 1/4 cold in-support keys.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,12 +52,15 @@ const char* workload_name(Workload w);
 
 /// Fixed shape of each workload (connections, windows, rates, mix).
 struct WorkloadShape {
-  std::size_t connections = 4;    ///< client connections (and threads)
-  std::size_t window = 0;         ///< closed loop: messages in flight per connection
+  std::size_t connections = 4;    ///< client connections
+  /// Most messages a question connection has waiting for answers.
+  std::size_t window = 0;
   std::size_t frame_records = 1;  ///< records per message (binary frames > 1)
-  double arrival_rate = 0.0;      ///< open loop: arrivals per second
+  /// Messages per second over all question connections (report streams
+  /// excluded); cold_open_loop sends on time regardless of the window.
+  double arrival_rate = 0.0;
   std::size_t report_connections = 0;  ///< feedback_mix: report streams
-  double report_think_s = 0.0;  ///< pause after each report answer
+  double report_rate = 0.0;  ///< reports per second on each report stream
   /// --online-min-refit-rows: buffered measurements before a refit.
   std::size_t min_refit_rows = 0;
   bool binary = false;            ///< binary wire frames instead of JSON lines
@@ -99,7 +108,10 @@ class Generator {
   Generator(Workload w, std::uint64_t seed, std::size_t connection,
             const BudgetTable& budgets);
 
-  /// Next closed-loop message of this connection.
+  /// Next message of this connection, with its due time (offset from the
+  /// run start) when the connection is paced: a question connection's
+  /// share of a seeded Poisson stream at shape.arrival_rate, or a report
+  /// stream's fixed period. Unpaced (closed-loop) messages are due at 0.
   Message next();
 
   /// Generates the next `n` messages now, so that next() returns them
@@ -118,6 +130,10 @@ class Generator {
   std::size_t connection_;
   BudgetTable budgets_;
   ccpred::Rng rng_;
+  ccpred::Rng arrivals_;      ///< due times, apart from the request stream
+  double gap_ns_ = 0.0;       ///< mean gap between due times; 0: not paced
+  bool poisson_ = true;       ///< exponential gaps, else a fixed period
+  std::int64_t due_ns_ = 0;
   std::uint64_t next_record_ = 0;
   std::uint64_t frames_ = 0;
   std::vector<Key> paper_;

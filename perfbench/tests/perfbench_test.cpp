@@ -70,7 +70,10 @@ std::string stream_bytes(Workload w, std::uint64_t seed,
   }
   for (std::size_t c = 0; c < shape.connections; ++c) {
     Generator gen(w, seed, c, budgets);
-    for (int i = 0; i < 50; ++i) bytes += encode_message(gen.next(), shape.binary);
+    for (int i = 0; i < 50; ++i) {
+      const Message m = gen.next();
+      bytes += std::to_string(m.due_ns) + ":" + encode_message(m, shape.binary);
+    }
   }
   return bytes;
 }
@@ -97,6 +100,39 @@ TEST(RequestStream, PrefetchKeepsTheStream) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(encode_message(live.next(), false),
               encode_message(ahead.next(), false));
+  }
+}
+
+TEST(RequestStream, PacedConnectionsShareTheArrivalRate) {
+  const BudgetTable budgets = unit_budgets();
+  for (const Workload w : {Workload::kWarmPipelined, Workload::kFeedbackMix,
+                           Workload::kFleetBinary}) {
+    SCOPED_TRACE(workload_name(w));
+    const WorkloadShape shape = shape_of(w);
+    const std::size_t paced = shape.connections - shape.report_connections;
+    ASSERT_GT(shape.arrival_rate, 0.0);
+    for (std::size_t c = 0; c < paced; ++c) {
+      Generator gen(w, 9, c, budgets);
+      std::int64_t last = -1;
+      constexpr int kMessages = 4000;
+      for (int i = 0; i < kMessages; ++i) {
+        const std::int64_t due = gen.next().due_ns;
+        ASSERT_GE(due, last);
+        last = due;
+      }
+      // Mean gap within 5% of paced / rate (sd of the mean: 1/sqrt(4000)).
+      const double rate = kMessages / (static_cast<double>(last) / 1e9);
+      EXPECT_NEAR(rate * static_cast<double>(paced), shape.arrival_rate,
+                  0.05 * shape.arrival_rate);
+    }
+    // A report stream keeps a fixed period.
+    if (shape.report_connections > 0) {
+      Generator reports(w, 9, paced, budgets);
+      const auto period = static_cast<std::int64_t>(1e9 / shape.report_rate);
+      for (std::int64_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(reports.next().due_ns, i * period);
+      }
+    }
   }
 }
 
@@ -172,7 +208,7 @@ TEST(Accounting, FailedShareCountsNotOkMissingAndWrong) {
   window.warmup_s = 0.0;
   window.seconds = 2.0;
   window.drain_s = 0.2;
-  const RunResult run = run_closed_loop(server.port(), shape, gens, window);
+  const RunResult run = run_generated(server.port(), shape, gens, window);
 
   // With one message in flight, the unanswered id 24 is the last one ever
   // sent: ids 0, 4, ..., 24 were attempted.
