@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "ccpred/common/error.hpp"
+
 namespace ccpred {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -41,6 +43,7 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    CCPRED_CHECK_MSG(!stop_, "thread pool: post after shutdown began");
     queue_.push_back(std::move(task));
   }
   cv_.notify_one();
@@ -49,6 +52,7 @@ void ThreadPool::post(std::function<void()> task) {
 bool ThreadPool::try_post(std::function<void()> task, std::size_t max_queue) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    CCPRED_CHECK_MSG(!stop_, "thread pool: post after shutdown began");
     if (queue_.size() >= max_queue) return false;
     queue_.push_back(std::move(task));
   }
@@ -105,7 +109,7 @@ void TaskGroup::run(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++pending_;
   }
-  pool_.post([this, task = std::move(task)] {
+  auto counted = [this, task = std::move(task)] {
     std::exception_ptr err;
     try {
       task();
@@ -115,7 +119,16 @@ void TaskGroup::run(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (err && !error_) error_ = err;
     if (--pending_ == 0) cv_.notify_all();
-  });
+  };
+  try {
+    pool_.post(std::move(counted));
+  } catch (...) {
+    // The pool is shutting down: the task never runs, so it must not keep
+    // wait() and the destructor waiting.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--pending_ == 0) cv_.notify_all();
+    throw;
+  }
 }
 
 void TaskGroup::wait() {

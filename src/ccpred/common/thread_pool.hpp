@@ -37,20 +37,26 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Enqueues a task; the future resolves when it completes (exceptions
-  /// propagate through the future).
+  /// propagate through the future). Throws like post() once the pool's
+  /// destructor has begun.
   std::future<void> submit(std::function<void()> task);
 
   /// Fire-and-forget enqueue: no future is allocated, so there is nobody to
   /// receive an exception — the task must not throw. Waiters that need
   /// exception propagation without per-task futures use TaskGroup, whose
   /// run() wraps the task accordingly.
+  ///
+  /// Throws ccpred::Error once the destructor has begun: a task enqueued
+  /// then might never run, and whoever waits on it would wait forever.
+  /// Owners order their members so nothing posts into a draining pool.
   void post(std::function<void()> task);
 
   /// Bounded-admission post: enqueues only if fewer than `max_queue` tasks
   /// are waiting (tasks already running do not count), otherwise rejects
   /// and returns false without consuming resources. This is the load-
   /// shedding primitive for callers that must not build an unbounded
-  /// backlog (the serving layer's admission control).
+  /// backlog (the serving layer's admission control). Throws like post()
+  /// once the destructor has begun.
   bool try_post(std::function<void()> task, std::size_t max_queue);
 
   /// Tasks enqueued but not yet picked up by a worker.

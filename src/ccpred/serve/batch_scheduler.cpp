@@ -223,16 +223,15 @@ void BatchScheduler::record_dispatch(std::size_t size) {
   size_hist_[slot].fetch_add(1, std::memory_order_relaxed);
 }
 
-BatchCounters BatchScheduler::counters() const {
-  BatchCounters c;
-  c.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  c.batch_flushes = batch_flushes_.load(std::memory_order_relaxed);
-  c.batch_bypass = batch_bypass_.load(std::memory_order_relaxed);
+void BatchScheduler::fill_stats(ServerStats& stats) const {
+  stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
+  stats.batch_flushes = batch_flushes_.load(std::memory_order_relaxed);
+  stats.batch_bypass = batch_bypass_.load(std::memory_order_relaxed);
   std::uint64_t total = 0;
   for (std::size_t s = 1; s <= options_.max_batch; ++s) {
     total += size_hist_[s].load(std::memory_order_relaxed);
   }
-  if (total == 0) return c;
+  if (total == 0) return;
   const auto quantile = [&](double q) {
     const auto rank =
         static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
@@ -243,9 +242,8 @@ BatchCounters BatchScheduler::counters() const {
     }
     return static_cast<double>(options_.max_batch);
   };
-  c.size_p50 = quantile(0.50);
-  c.size_p95 = quantile(0.95);
-  return c;
+  stats.batch_size_p50 = quantile(0.50);
+  stats.batch_size_p95 = quantile(0.95);
 }
 
 }  // namespace ccpred::serve

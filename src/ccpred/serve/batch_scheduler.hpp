@@ -66,15 +66,6 @@ struct BatchOptions {
   std::size_t max_inflight = 0;
 };
 
-/// Point-in-time scheduler counters (folded into ServerStats).
-struct BatchCounters {
-  std::uint64_t batched_requests = 0;  ///< requests in flushes of size >= 2
-  std::uint64_t batch_flushes = 0;     ///< dispatches of size >= 2
-  std::uint64_t batch_bypass = 0;      ///< size-1 dispatches
-  double size_p50 = 0.0;               ///< median dispatch size
-  double size_p95 = 0.0;               ///< tail dispatch size
-};
-
 /// See file comment. Owned by Server (the last member, so it drains first
 /// while the pools are still alive); thread-safe.
 class BatchScheduler {
@@ -94,7 +85,8 @@ class BatchScheduler {
   /// clock starts here, so hold time counts against it.
   void submit(Request request, std::function<void(Response)> done);
 
-  BatchCounters counters() const;
+  /// Writes the batch_* fields of a stats snapshot.
+  void fill_stats(ServerStats& stats) const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -148,7 +140,7 @@ class BatchScheduler {
   std::atomic<std::uint64_t> batch_flushes_{0};
   std::atomic<std::uint64_t> batch_bypass_{0};
   /// Dispatch-size histogram: slot s counts dispatches of exactly s
-  /// requests (s in [1, max_batch]), the source of size_p50/p95.
+  /// requests (s in [1, max_batch]), the source of batch_size_p50/p95.
   std::unique_ptr<std::atomic<std::uint64_t>[]> size_hist_;
 
   std::thread flusher_;  ///< last member: joined before anything else dies

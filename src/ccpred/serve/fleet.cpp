@@ -27,6 +27,11 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
   return h;
 }
 
+Response unavailable(const Request& req) {
+  return error_response("no live shard for this key", op_name(req.op), req.id,
+                        "unavailable");
+}
+
 }  // namespace
 
 HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes) {
@@ -81,6 +86,14 @@ std::uint64_t HashRing::key_hash(const std::string& machine,
   return mix64(h ^ mix64(ov));
 }
 
+std::uint64_t HashRing::request_key(const Request& request,
+                                     const std::string& default_machine,
+                                     const std::string& default_model) {
+  return key_hash(request.machine.empty() ? default_machine : request.machine,
+                  request.model.empty() ? default_model : request.model,
+                  request.o, request.v);
+}
+
 ShardFleet::ShardFleet(ModelRegistry& registry, FleetOptions options)
     : registry_(registry), options_(std::move(options)), ring_(options_.vnodes) {
   CCPRED_CHECK_MSG(options_.shards > 0, "fleet needs at least one shard");
@@ -99,22 +112,12 @@ std::shared_ptr<Server> ShardFleet::pin(std::size_t i) const {
   return slot.server;
 }
 
-std::uint64_t ShardFleet::request_key(const Request& req) const {
-  const std::string& machine =
-      req.machine.empty() ? options_.serve.default_machine : req.machine;
-  const std::string& kind =
-      req.model.empty() ? options_.serve.default_model : req.model;
-  return HashRing::key_hash(machine, kind, req.o, req.v);
-}
-
-int ShardFleet::pick(std::uint64_t key, bool* failed_over) const {
-  if (failed_over != nullptr) *failed_over = false;
+int ShardFleet::pick(std::uint64_t key) const {
   for (const int s : ring_.preference(key, slots_.size())) {
     if (slots_[static_cast<std::size_t>(s)]->alive.load(
             std::memory_order_acquire)) {
       return s;
     }
-    if (failed_over != nullptr) *failed_over = true;
   }
   return -1;
 }
@@ -123,7 +126,7 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
   FaultInjector* fault = options_.fault_injector;
   if (fault == nullptr || !fault->enabled()) return;
   if (fault->fire(FaultPoint::kShardKill)) {
-    const int target = pick(key, nullptr);
+    const int target = pick(key);
     if (target >= 0) kill_shard(static_cast<std::size_t>(target));
   }
   if (fault->fire(FaultPoint::kShardRestart)) {
@@ -136,50 +139,46 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
   }
 }
 
-Response ShardFleet::handle(const Request& req) {
-  if (req.op == Op::kStats) return stats_response(req);
-  const std::uint64_t key = request_key(req);
+std::shared_ptr<Server> ShardFleet::route(const Request& req,
+                                          std::size_t records) {
+  const std::uint64_t key = HashRing::request_key(
+      req, options_.serve.default_machine, options_.serve.default_model);
   maybe_chaos(key);
   bool failed_over = false;
   for (const int s : ring_.preference(key, slots_.size())) {
     const auto i = static_cast<std::size_t>(s);
-    const std::shared_ptr<Server> srv = pin(i);
+    std::shared_ptr<Server> srv = pin(i);
     if (srv == nullptr) {
       failed_over = true;
       continue;
     }
     if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(1, std::memory_order_relaxed);
-    return srv->handle(req);
+    slots_[i]->routed.fetch_add(records, std::memory_order_relaxed);
+    return srv;
   }
   unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  return error_response("no live shard for this key", op_name(req.op), req.id,
-                        "unavailable");
+  return nullptr;
+}
+
+Response ShardFleet::handle(const Request& req) {
+  if (req.op == Op::kStats) {
+    return stats_response(req.id, aggregated_stats());
+  }
+  const std::shared_ptr<Server> srv = route(req, 1);
+  return srv != nullptr ? srv->handle(req) : unavailable(req);
 }
 
 void ShardFleet::submit_with(Request req, std::function<void(Response)> done) {
   if (req.op == Op::kStats) {
-    done(stats_response(req));
+    done(stats_response(req.id, aggregated_stats()));
     return;
   }
-  const std::uint64_t key = request_key(req);
-  maybe_chaos(key);
-  bool failed_over = false;
-  for (const int s : ring_.preference(key, slots_.size())) {
-    const auto i = static_cast<std::size_t>(s);
-    const std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) {
-      failed_over = true;
-      continue;
-    }
-    if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(1, std::memory_order_relaxed);
-    srv->submit_with(std::move(req), std::move(done));
+  const std::shared_ptr<Server> srv = route(req, 1);
+  if (srv == nullptr) {
+    done(unavailable(req));
     return;
   }
-  unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  done(error_response("no live shard for this key", op_name(req.op), req.id,
-                      "unavailable"));
+  srv->submit_with(std::move(req), std::move(done));
 }
 
 void ShardFleet::submit_batch_with(
@@ -204,29 +203,15 @@ void ShardFleet::submit_batch_with(
   // Route the whole frame by its first record: clients batch questions
   // that share a destination; strays still answer correctly, they just
   // miss this shard's cache.
-  const std::uint64_t key = request_key(batch.front());
-  maybe_chaos(key);
-  bool failed_over = false;
-  for (const int s : ring_.preference(key, slots_.size())) {
-    const auto i = static_cast<std::size_t>(s);
-    const std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) {
-      failed_over = true;
-      continue;
-    }
-    if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(batch.size(), std::memory_order_relaxed);
-    srv->submit_batch_with(std::move(batch), std::move(done));
+  const std::shared_ptr<Server> srv = route(batch.front(), batch.size());
+  if (srv == nullptr) {
+    std::vector<Response> out;
+    out.reserve(batch.size());
+    for (const Request& r : batch) out.push_back(unavailable(r));
+    done(std::move(out));
     return;
   }
-  unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<Response> out;
-  out.reserve(batch.size());
-  for (const Request& r : batch) {
-    out.push_back(error_response("no live shard for this key", op_name(r.op),
-                                 r.id, "unavailable"));
-  }
-  done(std::move(out));
+  srv->submit_batch_with(std::move(batch), std::move(done));
 }
 
 bool ShardFleet::kill_shard(std::size_t i) {
@@ -272,7 +257,8 @@ bool ShardFleet::alive(std::size_t i) const {
 
 int ShardFleet::route_of(const Request& req) const {
   if (req.op == Op::kStats) return -1;
-  return pick(request_key(req), nullptr);
+  return pick(HashRing::request_key(req, options_.serve.default_machine,
+                                    options_.serve.default_model));
 }
 
 FleetCounters ShardFleet::counters() const {
@@ -290,116 +276,18 @@ FleetCounters ShardFleet::counters() const {
 }
 
 ServerStats ShardFleet::aggregated_stats() const {
-  ServerStats total;
-  std::uint64_t latency_weight = 0;
-  std::uint64_t verb_weight[kNumOps] = {};
+  std::vector<ServerStats> shards;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) continue;
-    const ServerStats s = srv->stats();
-    total.requests += s.requests;
-    total.errors += s.errors;
-    total.sweeps_computed += s.sweeps_computed;
-    total.coalesced += s.coalesced;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.cache_evictions += s.cache_evictions;
-    total.cache_size += s.cache_size;
-    total.queue_depth += s.queue_depth;
-    total.deadline_exceeded += s.deadline_exceeded;
-    total.shed += s.shed;
-    total.stale_served += s.stale_served;
-    total.retries += s.retries;
-    // Registry counters are shared by every shard: take them once, not
-    // summed N times.
-    total.reload_failures = s.reload_failures;
-    total.models_loaded = s.models_loaded;
-    total.models_trained = s.models_trained;
-    // Request-weighted latency means (a true fleet quantile would need
-    // histogram merging; the weighted mean is stable and monotone).
-    total.latency_p50_ms += s.latency_p50_ms * static_cast<double>(s.requests);
-    total.latency_p95_ms += s.latency_p95_ms * static_cast<double>(s.requests);
-    total.latency_mean_ms += s.latency_mean_ms * static_cast<double>(s.requests);
-    latency_weight += s.requests;
-    // Batch-scheduler counters sum; the size quantiles are weighted by
-    // each shard's dispatch count (flushes + bypasses).
-    total.batched_requests += s.batched_requests;
-    total.batch_flushes += s.batch_flushes;
-    total.batch_bypass += s.batch_bypass;
-    const auto dispatches =
-        static_cast<double>(s.batch_flushes + s.batch_bypass);
-    total.batch_size_p50 += s.batch_size_p50 * dispatches;
-    total.batch_size_p95 += s.batch_size_p95 * dispatches;
-    total.overflow_closed += s.overflow_closed;
-    for (std::size_t v = 0; v < kNumOps; ++v) {
-      total.verb_latency[v].count += s.verb_latency[v].count;
-      total.verb_latency[v].p50_ms += s.verb_latency[v].p50_ms *
-                                      static_cast<double>(s.verb_latency[v].count);
-      total.verb_latency[v].p95_ms += s.verb_latency[v].p95_ms *
-                                      static_cast<double>(s.verb_latency[v].count);
-      total.verb_latency[v].p99_ms += s.verb_latency[v].p99_ms *
-                                      static_cast<double>(s.verb_latency[v].count);
-      // The fleet's worst observation is the max of the shard maxima —
-      // exact, unlike the weighted quantile means.
-      total.verb_latency[v].max_ms =
-          std::max(total.verb_latency[v].max_ms, s.verb_latency[v].max_ms);
-      verb_weight[v] += s.verb_latency[v].count;
-    }
-    if (s.online_enabled) {
-      total.online_enabled = true;
-      total.online.reports += s.online.reports;
-      total.online.measurements += s.online.measurements;
-      total.online.duplicates += s.online.duplicates;
-      total.online.rejected += s.online.rejected;
-      total.online.buffered += s.online.buffered;
-      total.online.rolling_mape =
-          std::max(total.online.rolling_mape, s.online.rolling_mape);
-      total.online.drift_events += s.online.drift_events;
-      total.online.incremental_updates += s.online.incremental_updates;
-      total.online.refits += s.online.refits;
-      total.online.shadow_evals += s.online.shadow_evals;
-      total.online.promotions += s.online.promotions;
-      total.online.promotions_rejected += s.online.promotions_rejected;
-      total.online.cache_invalidated += s.online.cache_invalidated;
-    }
+    if (srv != nullptr) shards.push_back(srv->stats());
   }
-  if (latency_weight > 0) {
-    const double w = static_cast<double>(latency_weight);
-    total.latency_p50_ms /= w;
-    total.latency_p95_ms /= w;
-    total.latency_mean_ms /= w;
-  }
-  for (std::size_t v = 0; v < kNumOps; ++v) {
-    if (verb_weight[v] > 0) {
-      const double w = static_cast<double>(verb_weight[v]);
-      total.verb_latency[v].p50_ms /= w;
-      total.verb_latency[v].p95_ms /= w;
-      total.verb_latency[v].p99_ms /= w;
-    }
-  }
-  const std::uint64_t total_dispatches =
-      total.batch_flushes + total.batch_bypass;
-  if (total_dispatches > 0) {
-    const double w = static_cast<double>(total_dispatches);
-    total.batch_size_p50 /= w;
-    total.batch_size_p95 /= w;
-  }
-  const std::uint64_t lookups = total.cache_hits + total.cache_misses;
-  total.cache_hit_rate = lookups == 0
-                             ? 0.0
-                             : static_cast<double>(total.cache_hits) /
-                                   static_cast<double>(lookups);
+  ServerStats total = merge_stats(shards);
+  // Every shard reports the one shared registry_: count it once, not once
+  // per shard.
+  total.reload_failures = registry_.reload_failures();
+  total.models_loaded = registry_.loads();
+  total.models_trained = registry_.trainings();
   return total;
-}
-
-Response ShardFleet::stats_response(const Request& req) {
-  Response r;
-  r.ok = true;
-  r.op = op_name(Op::kStats);
-  r.id = req.id;
-  r.has_stats = true;
-  r.stats = aggregated_stats();
-  return r;
 }
 
 }  // namespace ccpred::serve

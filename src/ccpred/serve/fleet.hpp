@@ -70,6 +70,12 @@ class HashRing {
   static std::uint64_t key_hash(const std::string& machine,
                                 const std::string& kind, int o, int v);
 
+  /// key_hash of a request, with the server defaults applied to an empty
+  /// machine or model — the key both fleets route by.
+  static std::uint64_t request_key(const Request& request,
+                                   const std::string& default_machine,
+                                   const std::string& default_model);
+
  private:
   std::size_t vnodes_;
   std::map<std::uint64_t, int> ring_;  ///< point -> shard
@@ -136,8 +142,8 @@ class ShardFleet {
   int route_of(const Request& request) const;
 
   FleetCounters counters() const;
-  /// Sum of per-shard counters plus fleet-level queue depth; latency
-  /// quantiles are request-weighted means across live shards.
+  /// merge_stats over the live shards, with the registry counters read
+  /// once from the shared registry.
   ServerStats aggregated_stats() const;
 
  private:
@@ -150,13 +156,14 @@ class ShardFleet {
 
   /// Pins the slot's server (or nullptr if dead).
   std::shared_ptr<Server> pin(std::size_t i) const;
-  /// Key hash for a request, defaults applied.
-  std::uint64_t request_key(const Request& request) const;
   /// First live shard in the key's preference list; -1 if none.
-  int pick(std::uint64_t key, bool* failed_over) const;
+  int pick(std::uint64_t key) const;
+  /// The preference walk of every routed request: chaos points, then the
+  /// first live shard for the request's key, pinned, with `records` routed
+  /// to it. nullptr (counted unrouteable) when no shard is alive.
+  std::shared_ptr<Server> route(const Request& request, std::size_t records);
   /// Consults the chaos points once per routed request.
   void maybe_chaos(std::uint64_t key);
-  Response stats_response(const Request& request);
 
   ModelRegistry& registry_;
   FleetOptions options_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
@@ -320,6 +321,33 @@ std::string format_request(const Request& req) {
   return os.str();
 }
 
+namespace {
+
+/// The stats block of a response line, walked from the schema in
+/// stats.hpp: `,"<group prefix><key>":<value>` per field, doubles rendered
+/// like every other number in a response.
+void write_stats(std::ostringstream& os, const ServerStats& s) {
+  const auto put = [&](Group group, std::size_t verb, const StatsField& f,
+                       auto value) {
+    if (group == Group::kGate) return;
+    if (group == Group::kVerb && !served(s.verb_latency[verb])) return;
+    os << ",\"";
+    if (group == Group::kVerb) {
+      os << "lat_" << op_name(static_cast<Op>(verb)) << '_';
+    }
+    if (group == Group::kOnline) os << "online_";
+    os << f.key << "\":";
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      os << number(value);
+    } else {
+      os << value;
+    }
+  };
+  for_each_value(put, s);
+}
+
+}  // namespace
+
 std::string format_response(const Response& r) {
   std::ostringstream os;
   os << "{\"ok\":" << (r.ok ? "true" : "false");
@@ -368,60 +396,7 @@ std::string format_response(const Response& r) {
        << ",\"refit_scheduled\":" << (r.refit_scheduled ? "true" : "false")
        << ",\"model_version\":" << r.model_version;
   }
-  if (r.has_stats) {
-    const ServerStats& s = r.stats;
-    os << ",\"requests\":" << s.requests << ",\"errors\":" << s.errors
-       << ",\"sweeps_computed\":" << s.sweeps_computed
-       << ",\"coalesced\":" << s.coalesced
-       << ",\"cache_hits\":" << s.cache_hits
-       << ",\"cache_misses\":" << s.cache_misses
-       << ",\"cache_evictions\":" << s.cache_evictions
-       << ",\"cache_hit_rate\":" << number(s.cache_hit_rate)
-       << ",\"cache_size\":" << s.cache_size
-       << ",\"queue_depth\":" << s.queue_depth
-       << ",\"deadline_exceeded\":" << s.deadline_exceeded
-       << ",\"shed\":" << s.shed
-       << ",\"stale_served\":" << s.stale_served
-       << ",\"reload_failures\":" << s.reload_failures
-       << ",\"retries\":" << s.retries
-       << ",\"models_loaded\":" << s.models_loaded
-       << ",\"models_trained\":" << s.models_trained
-       << ",\"latency_p50_ms\":" << number(s.latency_p50_ms)
-       << ",\"latency_p95_ms\":" << number(s.latency_p95_ms)
-       << ",\"latency_mean_ms\":" << number(s.latency_mean_ms)
-       << ",\"batched_requests\":" << s.batched_requests
-       << ",\"batch_flushes\":" << s.batch_flushes
-       << ",\"batch_bypass\":" << s.batch_bypass
-       << ",\"batch_size_p50\":" << number(s.batch_size_p50)
-       << ",\"batch_size_p95\":" << number(s.batch_size_p95)
-       << ",\"overflow_closed\":" << s.overflow_closed;
-    for (std::size_t i = 0; i < kNumOps; ++i) {
-      const VerbLatency& vl = s.verb_latency[i];
-      if (vl.count == 0) continue;  // only verbs actually served
-      const char* verb = op_name(static_cast<Op>(i));
-      os << ",\"lat_" << verb << "_count\":" << vl.count << ",\"lat_" << verb
-         << "_p50_ms\":" << number(vl.p50_ms) << ",\"lat_" << verb
-         << "_p95_ms\":" << number(vl.p95_ms) << ",\"lat_" << verb
-         << "_p99_ms\":" << number(vl.p99_ms) << ",\"lat_" << verb
-         << "_max_ms\":" << number(vl.max_ms);
-    }
-    if (s.online_enabled) {
-      const OnlineStats& o = s.online;
-      os << ",\"online_reports\":" << o.reports
-         << ",\"online_measurements\":" << o.measurements
-         << ",\"online_duplicates\":" << o.duplicates
-         << ",\"online_rejected\":" << o.rejected
-         << ",\"online_buffered\":" << o.buffered
-         << ",\"online_rolling_mape\":" << number(o.rolling_mape)
-         << ",\"online_drift_events\":" << o.drift_events
-         << ",\"online_incremental_updates\":" << o.incremental_updates
-         << ",\"online_refits\":" << o.refits
-         << ",\"online_shadow_evals\":" << o.shadow_evals
-         << ",\"online_promotions\":" << o.promotions
-         << ",\"online_promotions_rejected\":" << o.promotions_rejected
-         << ",\"online_cache_invalidated\":" << o.cache_invalidated;
-    }
-  }
+  if (r.has_stats) write_stats(os, r.stats);
   os << '}';
   return os.str();
 }
@@ -434,6 +409,16 @@ Response error_response(const std::string& message, const std::string& op,
   r.id = id;
   r.error = message;
   r.code = code;
+  return r;
+}
+
+Response stats_response(const std::string& id, const ServerStats& stats) {
+  Response r;
+  r.ok = true;
+  r.op = op_name(Op::kStats);
+  r.id = id;
+  r.has_stats = true;
+  r.stats = stats;
   return r;
 }
 

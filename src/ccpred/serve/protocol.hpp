@@ -145,4 +145,7 @@ Response error_response(const std::string& message, const std::string& op = "",
                         const std::string& id = "",
                         const std::string& code = "bad_request");
 
+/// An ok `stats` answer carrying `stats`.
+Response stats_response(const std::string& id, const ServerStats& stats);
+
 }  // namespace ccpred::serve

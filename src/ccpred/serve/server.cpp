@@ -28,8 +28,8 @@ Server::Server(ModelRegistry& registry, ServeOptions options)
       options_(std::move(options)),
       fault_(options_.fault_injector),
       cache_(options_.cache_capacity, options_.cache_shards),
-      pool_(options_.threads),
-      sweep_pool_(options_.threads) {
+      sweep_pool_(options_.threads),
+      pool_(options_.threads) {
   cache_.set_fault_injector(fault_);
   if (options_.online.enabled) {
     online_ = std::make_unique<online::OnlineTrainer>(
@@ -43,6 +43,18 @@ Server::Server(ModelRegistry& registry, ServeOptions options)
 void Server::set_overflow_source(std::function<std::uint64_t()> source) {
   const std::lock_guard<std::mutex> lock(overflow_mutex_);
   overflow_source_ = std::move(source);
+}
+
+void Server::abandon_sweep(const SweepKey& key,
+                           std::promise<SweepResult>& promise,
+                           const std::string& why) {
+  {
+    const std::lock_guard<std::mutex> lock(inflight_mutex_);
+    inflight_.erase(key);
+  }
+  SweepResult result;
+  result.error = why;
+  promise.set_value(std::move(result));
 }
 
 const sim::CcsdSimulator& Server::simulator(const std::string& machine) {
@@ -92,7 +104,7 @@ SweepPtr Server::sweep_for(const std::string& machine, const std::string& kind,
     // A failed sweep resolves the shared future with an error STRING, not
     // an exception_ptr — see SweepResult for why (TSAN vs. cross-thread
     // exception_ptr release in uninstrumented libstdc++).
-    sweep_pool_.post([this, promise, handle, key] {
+    auto sweep_task = [this, promise, handle, key] {
       SweepResult result;
       try {
         if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
@@ -112,7 +124,12 @@ SweepPtr Server::sweep_for(const std::string& machine, const std::string& kind,
         inflight_.erase(key);
       }
       promise->set_value(std::move(result));
-    });
+    };
+    try {
+      sweep_pool_.post(std::move(sweep_task));
+    } catch (const std::exception& e) {
+      abandon_sweep(key, *promise, e.what());
+    }
   } else {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -129,16 +146,10 @@ SweepPtr Server::sweep_for(const std::string& machine, const std::string& kind,
 }
 
 Response Server::dispatch(const Request& req, Clock::time_point deadline) {
+  if (req.op == Op::kStats) return stats_response(req.id, stats());
   Response r;
   r.op = op_name(req.op);
   r.id = req.id;
-
-  if (req.op == Op::kStats) {
-    r.ok = true;
-    r.has_stats = true;
-    r.stats = stats();
-    return r;
-  }
 
   const std::string machine =
       req.machine.empty() ? options_.default_machine : req.machine;
@@ -364,8 +375,8 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
     // kernels see cross-request batches. If the batched compute fails —
     // e.g. one infeasible problem — fall back to per-key sweeps so the
     // innocent keys keep their serial-path answers.
-    sweep_pool_.post([this, handle, lead_keys = std::move(lead_keys),
-                      lead_promises = std::move(lead_promises)] {
+    auto sweep_task = [this, handle, lead_keys = std::move(lead_keys),
+                       lead_promises = std::move(lead_promises)] {
       if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
       std::vector<SweepResult> results(lead_keys.size());
       bool batched_ok = true;
@@ -412,7 +423,14 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
         }
         lead_promises[k]->set_value(std::move(results[k]));
       }
-    });
+    };
+    try {
+      sweep_pool_.post(std::move(sweep_task));
+    } catch (const std::exception& e) {
+      for (const std::size_t k : leaders) {
+        abandon_sweep(keys[k], *promises[k], e.what());
+      }
+    }
   }
 
   // Answer every member with the serial path's exact derivations and
@@ -670,7 +688,6 @@ ServerStats Server::stats() const {
   s.shed = shed_.load(std::memory_order_relaxed);
   s.stale_served = stale_served_.load(std::memory_order_relaxed);
   s.reload_failures = registry_.reload_failures();
-  s.retries = retries_.load(std::memory_order_relaxed);
   s.models_loaded = registry_.loads();
   s.models_trained = registry_.trainings();
   // Bucket quantiles interpolate toward the bucket's upper bound, so with
@@ -691,34 +708,14 @@ ServerStats Server::stats() const {
         std::min(op_latency_[i].quantile(0.99) * 1e3, verb_max);
     s.verb_latency[i].max_ms = verb_max;
   }
-  if (batcher_ != nullptr) {
-    const BatchCounters bc = batcher_->counters();
-    s.batched_requests = bc.batched_requests;
-    s.batch_flushes = bc.batch_flushes;
-    s.batch_bypass = bc.batch_bypass;
-    s.batch_size_p50 = bc.size_p50;
-    s.batch_size_p95 = bc.size_p95;
-  }
+  if (batcher_ != nullptr) batcher_->fill_stats(s);
   {
     const std::lock_guard<std::mutex> lock(overflow_mutex_);
     if (overflow_source_) s.overflow_closed = overflow_source_();
   }
   if (online_ != nullptr) {
     s.online_enabled = true;
-    const online::OnlineCounters oc = online_->counters();
-    s.online.reports = oc.reports;
-    s.online.measurements = oc.measurements;
-    s.online.duplicates = oc.duplicates;
-    s.online.rejected = oc.rejected;
-    s.online.buffered = oc.buffered;
-    s.online.rolling_mape = oc.rolling_mape;
-    s.online.drift_events = oc.drift_events;
-    s.online.incremental_updates = oc.incremental_updates;
-    s.online.refits = oc.refits;
-    s.online.shadow_evals = oc.shadow_evals;
-    s.online.promotions = oc.promotions;
-    s.online.promotions_rejected = oc.promotions_rejected;
-    s.online.cache_invalidated = oc.cache_invalidated;
+    s.online = online_->counters();
   }
   return s;
 }

@@ -110,16 +110,10 @@ class Server {
   /// Point-in-time statistics snapshot.
   ServerStats stats() const;
 
-  /// Folds `n` client-side retries into the stats (the daemon's backoff
-  /// loop reports its retries here so `stats` can surface them).
-  void record_retries(std::uint64_t n) {
-    retries_.fetch_add(n, std::memory_order_relaxed);
-  }
-
   /// The daemon reports its event loop's overflow-closed connections
   /// through this callback so `stats` can surface them beside the server
-  /// counters (mirrors record_retries). Install before serving traffic;
-  /// the callback must stay valid for the server's lifetime.
+  /// counters. Install before serving traffic; the callback must stay
+  /// valid for the server's lifetime.
   void set_overflow_source(std::function<std::uint64_t()> source);
 
   const ServeOptions& options() const { return options_; }
@@ -183,6 +177,11 @@ class Server {
                      std::uint64_t* model_version, bool* cache_hit,
                      bool* stale, bool* timed_out);
 
+  /// Fails a led sweep that the sweep pool refused (it is shutting down):
+  /// the key leaves inflight_ and its waiters get `why` as the error.
+  void abandon_sweep(const SweepKey& key, std::promise<SweepResult>& promise,
+                     const std::string& why);
+
   /// Lazily-built simulator per machine (stable address for Advisor refs).
   const sim::CcsdSimulator& simulator(const std::string& machine);
 
@@ -195,7 +194,8 @@ class Server {
 
   /// Constructed only when options_.online.enabled. Declared after cache_
   /// (its refits invalidate cache shards) and before the pools, so its own
-  /// refit worker drains while everything it touches is still alive.
+  /// refit worker drains while everything it touches is still alive, and
+  /// after the request pool, whose reports schedule the refits, has joined.
   std::unique_ptr<online::OnlineTrainer> online_;
 
   std::mutex simulators_mutex_;
@@ -212,7 +212,6 @@ class Server {
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> stale_served_{0};
-  std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::size_t> queue_depth_{0};
 
   mutable std::mutex overflow_mutex_;
@@ -220,10 +219,10 @@ class Server {
 
   // The pools are among the last members so their destructors run first:
   // they drain and join while every field their tasks touch is still
-  // alive. sweep_pool_ follows pool_ — request workers block on sweep
-  // futures, so sweeps must drain before the request pool joins.
-  ThreadPool pool_;
+  // alive. pool_ follows sweep_pool_, so the request pool joins first: a
+  // queued request may still post its cold sweep and wait on it.
   ThreadPool sweep_pool_;
+  ThreadPool pool_;
 
   /// Very last member: destroyed FIRST, so the scheduler stops its flusher
   /// and drains its queue while the pools it posts to are still alive.

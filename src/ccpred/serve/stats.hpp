@@ -1,13 +1,28 @@
 #pragma once
 
 /// \file stats.hpp
-/// The serving subsystem's observable state: one plain snapshot struct
-/// filled by Server::stats() and rendered by the line protocol's `stats`
-/// response. Kept dependency-free so both server.cpp and protocol.cpp can
-/// include it.
+/// The serving subsystem's observable state and its schema. Every stats
+/// field is declared once, in a field list below, as X(type, name, merge
+/// rule, weight). The lists generate the snapshot structs and
+/// for_each_value, the one walk that the JSON writer (protocol.cpp), the
+/// binary codec (wire.cpp) and merge_stats share. A field's name is its
+/// JSON key after its group's prefix; its type fixes its wire type.
+///
+/// Groups, in encoding order: the top level; one group per verb in Op
+/// order (`lat_<verb>_<name>`; JSON shows served verbs only, the wire all
+/// of them); the online gate (wire only); the online group
+/// (`online_<name>`), present only when the gate is set.
+///
+/// Merge rules (merge_stats, shared by both fleets): counters and gauges
+/// sum; worst observations take the max; the gate ORs; quantiles and means
+/// become means weighted by the field's Weight; cache_hit_rate is
+/// recomputed from the merged counters. So fleet p50/p95/p99 are
+/// request-weighted means of shard quantiles, not quantiles of the union
+/// of the shards' samples.
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace ccpred::serve {
 
@@ -15,66 +30,164 @@ namespace ccpred::serve {
 /// indexes the per-verb latency array below).
 inline constexpr std::size_t kNumOps = 6;
 
+/// How merge_stats folds a field across shard snapshots (see file comment).
+enum class Merge { kSum, kMax, kOr, kMean, kRecompute };
+
+/// The weight of a Merge::kMean field: the shard's requests, the verb's
+/// own count, or the shard's batch dispatches (flushes + bypasses).
+enum class Weight { kNone, kRequests, kVerbCount, kDispatches };
+
+// clang-format off
+
 /// Latency quantiles of one protocol verb.
-struct VerbLatency {
-  std::uint64_t count = 0;  ///< requests of this verb handled
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;  ///< exact worst observation, not bucket-quantized
-};
+#define CCPRED_VERB_LATENCY_FIELDS(X)                                      \
+  X(std::uint64_t, count, kSum, kNone)  /* requests of this verb */        \
+  X(double, p50_ms, kMean, kVerbCount)                                     \
+  X(double, p95_ms, kMean, kVerbCount)                                     \
+  X(double, p99_ms, kMean, kVerbCount)                                     \
+  X(double, max_ms, kMax, kNone)  /* exact worst, not bucket-quantized */
 
 /// Observable state of the online learning loop (zero when disabled).
+#define CCPRED_ONLINE_STATS_FIELDS(X)                                      \
+  X(std::uint64_t, reports, kSum, kNone)       /* report requests */       \
+  X(std::uint64_t, measurements, kSum, kNone)  /* wall times received */   \
+  X(std::uint64_t, duplicates, kSum, kNone)    /* byte-exact repeats */    \
+  X(std::uint64_t, rejected, kSum, kNone)      /* invalid wall times */    \
+  X(std::uint64_t, buffered, kSum, kNone)      /* rows, all streams */     \
+  X(double, rolling_mape, kMax, kNone)         /* worst stream's MAPE */   \
+  X(std::uint64_t, drift_events, kSum, kNone)                              \
+  X(std::uint64_t, incremental_updates, kSum, kNone)  /* GP updates */     \
+  X(std::uint64_t, refits, kSum, kNone)        /* candidates trained */    \
+  X(std::uint64_t, shadow_evals, kSum, kNone)                              \
+  X(std::uint64_t, promotions, kSum, kNone)                                \
+  X(std::uint64_t, promotions_rejected, kSum, kNone)  /* lost shadow */    \
+  X(std::uint64_t, cache_invalidated, kSum, kNone)  /* sweeps dropped */
+
+/// Top-level fields of a Server snapshot. The batch_* fields stay zero
+/// without micro-batching; overflow_closed is fed by the daemon through
+/// Server::set_overflow_source.
+#define CCPRED_SERVER_STATS_FIELDS(X)                                      \
+  X(std::uint64_t, requests, kSum, kNone)        /* incl. errors */        \
+  X(std::uint64_t, errors, kSum, kNone)          /* answered ok=false */   \
+  X(std::uint64_t, sweeps_computed, kSum, kNone)                           \
+  X(std::uint64_t, coalesced, kSum, kNone)       /* joined a sweep */      \
+  X(std::uint64_t, cache_hits, kSum, kNone)                                \
+  X(std::uint64_t, cache_misses, kSum, kNone)                              \
+  X(std::uint64_t, cache_evictions, kSum, kNone)                           \
+  X(double, cache_hit_rate, kRecompute, kNone)   /* 0 if unused */         \
+  X(std::uint64_t, cache_size, kSum, kNone)      /* cached sweeps now */   \
+  X(std::uint64_t, queue_depth, kSum, kNone)     /* submitted, pending */  \
+  X(std::uint64_t, deadline_exceeded, kSum, kNone)  /* code="deadline" */  \
+  X(std::uint64_t, shed, kSum, kNone)            /* code="overloaded" */   \
+  X(std::uint64_t, stale_served, kSum, kNone)    /* ok, stale model */     \
+  X(std::uint64_t, reload_failures, kSum, kNone) /* failed loads */        \
+  X(std::uint64_t, retries, kSum, kNone)         /* 0: client-side now */  \
+  X(std::uint64_t, models_loaded, kSum, kNone)   /* artifact (re)loads */  \
+  X(std::uint64_t, models_trained, kSum, kNone)  /* train-and-cache */     \
+  X(double, latency_p50_ms, kMean, kRequests)                              \
+  X(double, latency_p95_ms, kMean, kRequests)                              \
+  X(double, latency_mean_ms, kMean, kRequests)                             \
+  X(std::uint64_t, batched_requests, kSum, kNone)  /* in flushes >= 2 */   \
+  X(std::uint64_t, batch_flushes, kSum, kNone)     /* flushes of 2+ */     \
+  X(std::uint64_t, batch_bypass, kSum, kNone)      /* size-1 dispatches */ \
+  X(double, batch_size_p50, kMean, kDispatches)    /* incl. bypass */      \
+  X(double, batch_size_p95, kMean, kDispatches)                            \
+  X(std::uint64_t, overflow_closed, kSum, kNone)   /* over a buffer cap */
+
+// clang-format on
+
+#define CCPRED_STATS_MEMBER(type, name, merge, weight) type name{};
+
+struct VerbLatency {
+  CCPRED_VERB_LATENCY_FIELDS(CCPRED_STATS_MEMBER)
+};
+
 struct OnlineStats {
-  std::uint64_t reports = 0;       ///< report requests ingested
-  std::uint64_t measurements = 0;  ///< individual wall times received
-  std::uint64_t duplicates = 0;    ///< byte-exact repeats dropped
-  std::uint64_t rejected = 0;      ///< invalid wall times dropped
-  std::size_t buffered = 0;        ///< rows buffered across streams
-  double rolling_mape = 0.0;       ///< worst stream's rolling MAPE
-  std::uint64_t drift_events = 0;
-  std::uint64_t incremental_updates = 0;  ///< GP surrogate update() calls
-  std::uint64_t refits = 0;               ///< background candidates trained
-  std::uint64_t shadow_evals = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t promotions_rejected = 0;
-  std::uint64_t cache_invalidated = 0;  ///< sweeps dropped by promotions
+  CCPRED_ONLINE_STATS_FIELDS(CCPRED_STATS_MEMBER)
 };
 
 /// Point-in-time snapshot of a running Server.
 struct ServerStats {
-  std::uint64_t requests = 0;        ///< requests handled (incl. errors)
-  std::uint64_t errors = 0;          ///< requests answered with ok=false
-  std::uint64_t sweeps_computed = 0; ///< full enumerate+predict sweeps run
-  std::uint64_t coalesced = 0;       ///< requests that joined an in-flight sweep
-  std::uint64_t cache_hits = 0;      ///< sweep-cache hits
-  std::uint64_t cache_misses = 0;    ///< sweep-cache misses
-  std::uint64_t cache_evictions = 0; ///< sweep-cache LRU evictions
-  double cache_hit_rate = 0.0;       ///< hits / (hits + misses), 0 if unused
-  std::size_t cache_size = 0;        ///< cached sweeps right now
-  std::size_t queue_depth = 0;       ///< submitted but unfinished requests
-  std::uint64_t deadline_exceeded = 0;  ///< requests answered code="deadline"
-  std::uint64_t shed = 0;               ///< requests rejected code="overloaded"
-  std::uint64_t stale_served = 0;       ///< ok answers from a stale model
-  std::uint64_t reload_failures = 0;    ///< failed artifact load attempts
-  std::uint64_t retries = 0;            ///< client retries recorded (serverd)
-  std::uint64_t models_loaded = 0;   ///< registry artifact (re)loads
-  std::uint64_t models_trained = 0;  ///< train-and-cache fallbacks taken
-  double latency_p50_ms = 0.0;       ///< median request latency
-  double latency_p95_ms = 0.0;       ///< tail request latency
-  double latency_mean_ms = 0.0;      ///< mean request latency
-  VerbLatency verb_latency[kNumOps];  ///< per-verb quantiles, Op order
-  /// Dynamic micro-batching (BatchScheduler; all zero when disabled).
-  std::uint64_t batched_requests = 0;  ///< requests dispatched in flushes >= 2
-  std::uint64_t batch_flushes = 0;     ///< flushes of 2+ coalesced requests
-  std::uint64_t batch_bypass = 0;      ///< size-1 dispatches (empty-queue path)
-  double batch_size_p50 = 0.0;         ///< median dispatch size (incl. bypass)
-  double batch_size_p95 = 0.0;         ///< tail dispatch size
-  /// Connections the event loop closed for exceeding a buffer cap (fed by
-  /// the daemon through Server::set_overflow_source).
-  std::uint64_t overflow_closed = 0;
+  CCPRED_SERVER_STATS_FIELDS(CCPRED_STATS_MEMBER)
+  VerbLatency verb_latency[kNumOps];  ///< per-verb groups, Op order
   bool online_enabled = false;        ///< online learning loop active
   OnlineStats online;
 };
+
+#undef CCPRED_STATS_MEMBER
+
+/// A field's schema entry, as for_each_value hands it over.
+struct StatsField {
+  const char* key;  ///< the JSON key after the group prefix
+  Merge merge;
+  Weight weight;
+};
+
+/// Where a field sits in a snapshot (see the file comment).
+enum class Group { kTop, kVerb, kGate, kOnline };
+
+#define CCPRED_STATS_VISIT(type, name, merge, weight)   \
+  visit(StatsField{#name, Merge::merge, Weight::weight}, \
+        [](auto& group) -> auto& { return group.name; });
+
+/// Walks snapshots `s, more...` field by field in encoding order, calling
+/// f(group, verb, field, value in s, value in each of more...); `verb` is
+/// the Op index within Group::kVerb. After the gate, the online group is
+/// walked only if s has it set.
+template <class F, class S, class... More>
+void for_each_value(F&& f, S& s, More&... more) {
+  {
+    const auto visit = [&](const StatsField& field, auto get) {
+      f(Group::kTop, 0, field, get(s), get(more)...);
+    };
+    CCPRED_SERVER_STATS_FIELDS(CCPRED_STATS_VISIT)
+  }
+  for (std::size_t v = 0; v < kNumOps; ++v) {
+    const auto visit = [&](const StatsField& field, auto get) {
+      f(Group::kVerb, v, field, get(s.verb_latency[v]),
+        get(more.verb_latency[v])...);
+    };
+    CCPRED_VERB_LATENCY_FIELDS(CCPRED_STATS_VISIT)
+  }
+  f(Group::kGate, 0, StatsField{"online_enabled", Merge::kOr, Weight::kNone},
+    s.online_enabled, more.online_enabled...);
+  if (!s.online_enabled) return;
+  const auto visit = [&](const StatsField& field, auto get) {
+    f(Group::kOnline, 0, field, get(s.online), get(more.online)...);
+  };
+  CCPRED_ONLINE_STATS_FIELDS(CCPRED_STATS_VISIT)
+}
+
+#undef CCPRED_STATS_VISIT
+
+/// JSON shows a verb's group only once the verb has been served.
+inline bool served(const VerbLatency& verb) { return verb.count > 0; }
+
+/// The value a Weight names in one snapshot; `verb` (an Op index) matters
+/// only to Weight::kVerbCount.
+inline std::uint64_t weight_of(Weight weight, const ServerStats& s,
+                               std::size_t verb) {
+  switch (weight) {
+    case Weight::kRequests: return s.requests;
+    case Weight::kVerbCount: return s.verb_latency[verb].count;
+    case Weight::kDispatches: return s.batch_flushes + s.batch_bypass;
+    case Weight::kNone: break;
+  }
+  return 0;
+}
+
+/// Sets the Merge::kRecompute fields from the counters they derive from.
+inline void recompute_derived(ServerStats& s) {
+  const std::uint64_t lookups = s.cache_hits + s.cache_misses;
+  s.cache_hit_rate = lookups == 0 ? 0.0
+                                  : static_cast<double>(s.cache_hits) /
+                                        static_cast<double>(lookups);
+}
+
+/// Folds shard snapshots into one fleet snapshot by the merge rules. The
+/// registry counters (reload_failures, models_loaded, models_trained) sum
+/// like any counter — right for shards with their own registries; a fleet
+/// whose shards share one registry overwrites them from it.
+ServerStats merge_stats(const std::vector<ServerStats>& shards);
 
 }  // namespace ccpred::serve

@@ -27,6 +27,9 @@ struct Writer {
     std::memcpy(&bits, &v, sizeof bits);
     u64(bits);
   }
+  void put(std::uint64_t v) { u64(v); }
+  void put(double v) { f64(v); }
+  void put(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
     CCPRED_CHECK_MSG(s.size() <= kMaxStringBytes,
                      "wire: string field of " << s.size()
@@ -78,6 +81,9 @@ struct Reader {
     std::memcpy(&v, &bits, sizeof v);
     return v;
   }
+  void get(std::uint64_t& v) { v = u64(); }
+  void get(double& v) { v = f64(); }
+  void get(bool& v) { v = u8() != 0; }
   std::string str() {
     const std::uint32_t n = u32();
     CCPRED_CHECK_MSG(n <= kMaxStringBytes,
@@ -156,108 +162,17 @@ constexpr std::uint8_t kFlagStats = 1u << 5;
 constexpr std::uint8_t kFlagCacheHit = 1u << 6;
 constexpr std::uint8_t kFlagDrift = 1u << 7;
 
+/// Stats in the schema's encoding order (stats.hpp), each field as the
+/// wire primitive of its type.
 void encode_stats(Writer& w, const ServerStats& s) {
-  w.u64(s.requests);
-  w.u64(s.errors);
-  w.u64(s.sweeps_computed);
-  w.u64(s.coalesced);
-  w.u64(s.cache_hits);
-  w.u64(s.cache_misses);
-  w.u64(s.cache_evictions);
-  w.f64(s.cache_hit_rate);
-  w.u64(s.cache_size);
-  w.u64(s.queue_depth);
-  w.u64(s.deadline_exceeded);
-  w.u64(s.shed);
-  w.u64(s.stale_served);
-  w.u64(s.reload_failures);
-  w.u64(s.retries);
-  w.u64(s.models_loaded);
-  w.u64(s.models_trained);
-  w.f64(s.latency_p50_ms);
-  w.f64(s.latency_p95_ms);
-  w.f64(s.latency_mean_ms);
-  w.u64(s.batched_requests);
-  w.u64(s.batch_flushes);
-  w.u64(s.batch_bypass);
-  w.f64(s.batch_size_p50);
-  w.f64(s.batch_size_p95);
-  w.u64(s.overflow_closed);
-  for (std::size_t i = 0; i < kNumOps; ++i) {
-    w.u64(s.verb_latency[i].count);
-    w.f64(s.verb_latency[i].p50_ms);
-    w.f64(s.verb_latency[i].p95_ms);
-    w.f64(s.verb_latency[i].p99_ms);
-    w.f64(s.verb_latency[i].max_ms);
-  }
-  w.u8(s.online_enabled ? 1 : 0);
-  if (!s.online_enabled) return;
-  const OnlineStats& o = s.online;
-  w.u64(o.reports);
-  w.u64(o.measurements);
-  w.u64(o.duplicates);
-  w.u64(o.rejected);
-  w.u64(o.buffered);
-  w.f64(o.rolling_mape);
-  w.u64(o.drift_events);
-  w.u64(o.incremental_updates);
-  w.u64(o.refits);
-  w.u64(o.shadow_evals);
-  w.u64(o.promotions);
-  w.u64(o.promotions_rejected);
-  w.u64(o.cache_invalidated);
+  for_each_value(
+      [&w](Group, std::size_t, const StatsField&, auto v) { w.put(v); }, s);
 }
 
 void decode_stats(Reader& rd, ServerStats* s) {
-  s->requests = rd.u64();
-  s->errors = rd.u64();
-  s->sweeps_computed = rd.u64();
-  s->coalesced = rd.u64();
-  s->cache_hits = rd.u64();
-  s->cache_misses = rd.u64();
-  s->cache_evictions = rd.u64();
-  s->cache_hit_rate = rd.f64();
-  s->cache_size = static_cast<std::size_t>(rd.u64());
-  s->queue_depth = static_cast<std::size_t>(rd.u64());
-  s->deadline_exceeded = rd.u64();
-  s->shed = rd.u64();
-  s->stale_served = rd.u64();
-  s->reload_failures = rd.u64();
-  s->retries = rd.u64();
-  s->models_loaded = rd.u64();
-  s->models_trained = rd.u64();
-  s->latency_p50_ms = rd.f64();
-  s->latency_p95_ms = rd.f64();
-  s->latency_mean_ms = rd.f64();
-  s->batched_requests = rd.u64();
-  s->batch_flushes = rd.u64();
-  s->batch_bypass = rd.u64();
-  s->batch_size_p50 = rd.f64();
-  s->batch_size_p95 = rd.f64();
-  s->overflow_closed = rd.u64();
-  for (std::size_t i = 0; i < kNumOps; ++i) {
-    s->verb_latency[i].count = rd.u64();
-    s->verb_latency[i].p50_ms = rd.f64();
-    s->verb_latency[i].p95_ms = rd.f64();
-    s->verb_latency[i].p99_ms = rd.f64();
-    s->verb_latency[i].max_ms = rd.f64();
-  }
-  s->online_enabled = rd.u8() != 0;
-  if (!s->online_enabled) return;
-  OnlineStats& o = s->online;
-  o.reports = rd.u64();
-  o.measurements = rd.u64();
-  o.duplicates = rd.u64();
-  o.rejected = rd.u64();
-  o.buffered = static_cast<std::size_t>(rd.u64());
-  o.rolling_mape = rd.f64();
-  o.drift_events = rd.u64();
-  o.incremental_updates = rd.u64();
-  o.refits = rd.u64();
-  o.shadow_evals = rd.u64();
-  o.promotions = rd.u64();
-  o.promotions_rejected = rd.u64();
-  o.cache_invalidated = rd.u64();
+  for_each_value(
+      [&rd](Group, std::size_t, const StatsField&, auto& v) { rd.get(v); },
+      *s);
 }
 
 void encode_response(Writer& w, const Response& r) {

@@ -395,6 +395,47 @@ TEST(ThreadPoolTest, TryPostAdmitsWhenIdle) {
   EXPECT_EQ(done.get_future().get(), 9);
 }
 
+TEST(ThreadPoolTest, PostAfterShutdownBeganIsAHardError) {
+  // A task keeps posting into its own pool while the pool is destroyed:
+  // once the destructor has begun, post, try_post and TaskGroup::run throw
+  // instead of queueing work no worker may ever run.
+  std::atomic<bool> post_threw{false};
+  std::atomic<bool> try_post_threw{false};
+  std::atomic<bool> group_threw{false};
+  std::promise<void> started;
+  {
+    ThreadPool pool(1);
+    pool.post([&] {
+      started.set_value();
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!post_threw && std::chrono::steady_clock::now() < give_up) {
+        try {
+          pool.post([] {});
+        } catch (const Error&) {
+          post_threw = true;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      try {
+        pool.try_post([] {}, 1000);
+      } catch (const Error&) {
+        try_post_threw = true;
+      }
+      TaskGroup group(pool);  // its destructor must not wait for the refusal
+      try {
+        group.run([] {});
+      } catch (const Error&) {
+        group_threw = true;
+      }
+    });
+    started.get_future().wait();
+  }
+  EXPECT_TRUE(post_threw);
+  EXPECT_TRUE(try_post_threw);
+  EXPECT_TRUE(group_threw);
+}
+
 TEST(TaskGroupTest, WaitBlocksUntilAllTasksFinish) {
   ThreadPool pool(4);
   TaskGroup group(pool);

@@ -37,14 +37,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test.
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ccpred_online_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
 /// A small fitted GB on real campaign features, fast to train.
 ml::GradientBoostingRegressor campaign_gb(int stages = 15) {
   static const auto split = test::small_campaign(250);
@@ -248,7 +240,7 @@ TEST(ShadowEvaluatorTest, EmptyHoldoutNeverPromotes) {
 // --------------------------------------- ModelRegistry republish detection
 
 TEST(ModelRegistryOnlineTest, NotePublishedCatchesSameMtimeRepublish) {
-  const auto dir = scratch_dir("registry_same_mtime");
+  const auto dir = test::scratch_dir("registry_same_mtime");
   ModelRegistry registry(dir);
   const auto path = registry.artifact_path("aurora", "gb");
   ml::save_gb(campaign_gb(10), path);
@@ -274,7 +266,7 @@ TEST(ModelRegistryOnlineTest, NotePublishedCatchesSameMtimeRepublish) {
 }
 
 TEST(ModelRegistryOnlineTest, IdenticalBytesAbsorbedWithoutVersionBump) {
-  const auto dir = scratch_dir("registry_same_bytes");
+  const auto dir = test::scratch_dir("registry_same_bytes");
   ModelRegistry registry(dir);
   const auto path = registry.artifact_path("aurora", "gb");
   ml::save_gb(campaign_gb(10), path);
@@ -314,7 +306,7 @@ TEST(ModelRegistryOnlineTest, IdenticalBytesAbsorbedWithoutVersionBump) {
 // ----------------------------------------------------- per-verb latencies
 
 TEST(ServerStatsTest, PerVerbLatencyHistogramsSurfaceThroughStats) {
-  const auto dir = scratch_dir("verb_latency");
+  const auto dir = test::scratch_dir("verb_latency");
   ModelRegistry registry(dir);
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   ServeOptions base;
@@ -371,7 +363,7 @@ TEST(ServerStatsTest, PerVerbLatencyHistogramsSurfaceThroughStats) {
 }
 
 TEST(ServerStatsTest, OnlineFieldsAbsentWhenDisabled) {
-  const auto dir = scratch_dir("online_disabled");
+  const auto dir = test::scratch_dir("online_disabled");
   ModelRegistry registry(dir);
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   Server server(registry, ServeOptions{});
@@ -421,7 +413,7 @@ struct LoopResult {
 /// Serve, report a 1.6x-slower regime until promotion, then report fresh
 /// measurements of the same regime and read the recovered rolling MAPE.
 LoopResult run_closed_loop(const std::string& name) {
-  const auto dir = scratch_dir(name);
+  const auto dir = test::scratch_dir(name);
   RegistryOptions ropt;
   ropt.fallback_rows = 160;
   // Enough boosting stages that shrinkage converges: with 0.1 learning
@@ -563,7 +555,7 @@ TEST(OnlineLoopTest, ClosedLoopIsDeterministic) {
 }
 
 TEST(OnlineLoopTest, DuplicateReportsAreCountedNotLearned) {
-  const auto dir = scratch_dir("dup_reports");
+  const auto dir = test::scratch_dir("dup_reports");
   ModelRegistry registry(dir);
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   ServeOptions base;

@@ -28,8 +28,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -53,13 +55,6 @@ namespace fs = std::filesystem;
 bool fast_mode() { return std::getenv("CCPRED_CHAOS_FAST") != nullptr; }
 int per_thread_requests() { return fast_mode() ? 12 : 40; }
 constexpr int kClientThreads = 4;
-
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ccpred_chaos_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 /// One small fitted GB, shared by every server in the file (loads of the
 /// same bytes yield bit-identical models, so republishing it mid-run
@@ -110,7 +105,7 @@ Request make_request(int i) {
 /// Registry + server over a pre-published artifact.
 struct ChaosFixture {
   ChaosFixture(const std::string& name, ServeOptions opt)
-      : dir(scratch_dir(name)), registry(dir) {
+      : dir(test::scratch_dir(name)), registry(dir) {
     ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
     server = std::make_unique<Server>(registry, opt);
   }
@@ -439,7 +434,7 @@ void run_promotion_race_at_seed(std::uint64_t seed) {
   fopt.promotion_race_ms = 5.0;
   FaultInjector fault(fopt);
 
-  const auto dir = scratch_dir("race_" + std::to_string(seed));
+  const auto dir = test::scratch_dir("race_" + std::to_string(seed));
   RegistryOptions ropt;
   ropt.fallback_rows = 160;
   ropt.gb_estimators = 60;
@@ -555,7 +550,8 @@ void run_shard_chaos_at_seed(std::uint64_t seed) {
   opt.serve.threads = 2;
   opt.serve.cache_capacity = 64;
   opt.fault_injector = &fault;
-  const std::string dir = scratch_dir("shard_seed_" + std::to_string(seed));
+  const std::string dir =
+      test::scratch_dir("shard_seed_" + std::to_string(seed));
   ModelRegistry registry(dir);
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   ShardFleet fleet(registry, opt);
@@ -632,6 +628,116 @@ void run_shard_chaos_at_seed(std::uint64_t seed) {
 TEST(ServeChaosTest, ShardStormSeed1) { run_shard_chaos_at_seed(1); }
 TEST(ServeChaosTest, ShardStormSeed7) { run_shard_chaos_at_seed(7); }
 TEST(ServeChaosTest, ShardStormSeed42) { run_shard_chaos_at_seed(42); }
+
+// ---------------------------------------------------------- shutdown order
+//
+// Regression for the shutdown-order deadlock: with one request worker held
+// by a long stall, cold requests queue behind it while the server is torn
+// down. Each must still run its sweep when the worker wakes, so the sweep
+// pool has to outlive the request pool. With the opposite order the
+// request worker posted into an already-joined sweep pool and waited
+// forever, and so did the teardown. No oversubscription is needed: the
+// stall makes the interleaving deterministic.
+
+/// Runs `teardown` on a helper thread and exits the test binary with a
+/// failure if it is still blocked after `limit`, so a shutdown deadlock
+/// fails in bounded time instead of hanging the suite.
+void teardown_within(std::chrono::seconds limit,
+                     const std::function<void()>& teardown) {
+  std::promise<void> finished;
+  std::future<void> done = finished.get_future();
+  std::thread runner([&] {
+    teardown();
+    finished.set_value();
+  });
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr,
+                 "FATAL: teardown still blocked after %lld s: shutdown "
+                 "deadlock\n",
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  runner.join();
+}
+
+constexpr auto kTeardownLimit = std::chrono::seconds(60);
+
+FaultOptions stall_every_worker() {
+  FaultOptions fopt;
+  fopt.worker_stall = 1.0;
+  fopt.worker_stall_ms = 200.0;
+  return fopt;
+}
+
+/// Cold STQ questions on distinct keys.
+std::vector<Request> cold_requests() {
+  std::vector<Request> out;
+  for (const auto& [o, v] : std::vector<std::pair<int, int>>{
+           {44, 260}, {85, 698}, {116, 575}, {134, 951}}) {
+    Request r;
+    r.op = Op::kStq;
+    r.o = o;
+    r.v = v;
+    r.id = std::to_string(out.size());
+    out.push_back(r);
+  }
+  return out;
+}
+
+TEST(ShutdownOrderTest, ServerTeardownAnswersColdRequestsQueuedBehindAStall) {
+  FaultInjector fault(stall_every_worker());
+  ServeOptions opt;
+  opt.threads = 1;
+  opt.fault_injector = &fault;
+  ChaosFixture f("teardown_stall", opt);
+
+  std::vector<std::promise<Response>> answers(cold_requests().size());
+  for (Request& req : cold_requests()) {
+    auto& promise = answers[std::stoul(req.id)];
+    f.server->submit_with(std::move(req), [&promise](Response r) {
+      promise.set_value(std::move(r));
+    });
+  }
+  teardown_within(kTeardownLimit, [&] { f.server.reset(); });
+  for (auto& promise : answers) {
+    const Response r = promise.get_future().get();
+    EXPECT_TRUE(r.ok) << r.error;
+  }
+}
+
+TEST(ShutdownOrderTest, ShardKillAnswersColdRequestsQueuedBehindAStall) {
+  FaultInjector fault(stall_every_worker());
+  FleetOptions opt;
+  opt.shards = 2;
+  opt.serve.threads = 1;
+  opt.serve.fault_injector = &fault;
+  const std::string dir = test::scratch_dir("kill_stall");
+  ModelRegistry registry(dir);
+  ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
+  ShardFleet fleet(registry, opt);
+
+  // Every request that lands on the victim shard queues behind its one
+  // stalled worker; the kill then drops the shard's last pin.
+  const int victim = fleet.route_of(cold_requests().front());
+  std::vector<std::promise<Response>> answers;
+  answers.reserve(cold_requests().size());
+  for (Request& req : cold_requests()) {
+    if (fleet.route_of(req) != victim) continue;
+    answers.emplace_back();
+    auto& promise = answers.back();
+    fleet.submit_with(std::move(req), [&promise](Response r) {
+      promise.set_value(std::move(r));
+    });
+  }
+  teardown_within(kTeardownLimit, [&] {
+    EXPECT_TRUE(fleet.kill_shard(static_cast<std::size_t>(victim)));
+  });
+  for (auto& promise : answers) {
+    const Response r = promise.get_future().get();
+    EXPECT_TRUE(r.ok) << r.error;
+  }
+}
 
 // ------------------------------------------------------------- batch storm
 //
@@ -751,7 +857,7 @@ void run_fleet_batch_storm_at_seed(std::uint64_t seed) {
   opt.serve.batch.max_hold_us = 500;
   opt.fault_injector = &fault;
   const std::string dir =
-      scratch_dir("fleet_batch_seed_" + std::to_string(seed));
+      test::scratch_dir("fleet_batch_seed_" + std::to_string(seed));
   ModelRegistry registry(dir);
   ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
   ShardFleet fleet(registry, opt);

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,8 +35,6 @@
 
 namespace ccpred::serve {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ------------------------------------------------------------------ HashRing
 
@@ -121,13 +118,6 @@ TEST(HashRingTest, KeyHashSeparatesEveryField) {
 
 // ---------------------------------------------------------------- ShardFleet
 
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ccpred_fleet_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
 const ml::GradientBoostingRegressor& fleet_gb() {
   static const auto* model = [] {
     const auto split = test::small_campaign(250);
@@ -140,7 +130,7 @@ const ml::GradientBoostingRegressor& fleet_gb() {
 
 struct FleetFixture {
   FleetFixture(const std::string& name, FleetOptions opt)
-      : dir(scratch_dir(name)), registry(dir) {
+      : dir(test::scratch_dir(name)), registry(dir) {
     ml::save_gb(fleet_gb(), registry.artifact_path("aurora", "gb"));
     opt.serve.threads = 2;
     fleet = std::make_unique<ShardFleet>(registry, opt);
@@ -307,6 +297,168 @@ TEST(ShardFleetTest, StatsAggregateAcrossShardsAndBatchesAnswerInOrder) {
   ASSERT_TRUE(agg.has_stats);
   EXPECT_GE(agg.stats.requests, batch.size());
   EXPECT_EQ(f.fleet->counters().routed, batch.size());
+}
+
+TEST(ShardFleetTest, RegistryCountersComeFromTheSharedRegistryOnce) {
+  FleetOptions opt;
+  opt.shards = 3;
+  FleetFixture f("registry_once", opt);
+  for (const auto& [o, v] : kProblems) {
+    ASSERT_TRUE(f.fleet->handle(stq(o, v)).ok);
+  }
+  // Every shard reads the one registry, so each shard snapshot reports
+  // the same load; the fleet view must count it once, not per shard.
+  const ServerStats agg = f.fleet->aggregated_stats();
+  EXPECT_EQ(f.registry.loads(), 1u);
+  EXPECT_EQ(agg.models_loaded, f.registry.loads());
+  EXPECT_EQ(agg.models_trained, f.registry.trainings());
+  EXPECT_EQ(agg.reload_failures, f.registry.reload_failures());
+}
+
+// --------------------------------------------------------------- merge_stats
+
+/// A second shard: every weight and merged value differs from
+/// full_stats(), and online learning is off, so its online numbers must
+/// stay out of the merge.
+ServerStats second_shard() {
+  ServerStats s = test::full_stats();
+  s.requests = 40;
+  s.cache_hits = 30;
+  s.cache_misses = 10;
+  s.latency_p50_ms = 9.0;
+  s.latency_p95_ms = 20.0;
+  s.latency_mean_ms = 4.5;
+  s.batch_flushes = 2;
+  s.batch_bypass = 6;
+  s.batch_size_p50 = 1.5;
+  s.batch_size_p95 = 4.0;
+  for (std::size_t v = 0; v < kNumOps; ++v) {
+    VerbLatency& verb = s.verb_latency[v];
+    const double x = static_cast<double>(v);
+    verb.count = 10 * v;  // verb 0 is unserved on this shard
+    verb.p50_ms = 1.0 + x;
+    verb.p95_ms = 2.0 + x;
+    verb.p99_ms = 3.0 + x;
+    verb.max_ms = v % 2 == 0 ? 100.0 + x : 0.5;
+  }
+  s.online_enabled = false;
+  s.online.reports = 7;
+  s.online.rolling_mape = 0.99;
+  return s;
+}
+
+/// A shard with zero weight everywhere: its quantiles must not move any
+/// mean, while its maxima and counters still count.
+ServerStats idle_shard() {
+  ServerStats s;
+  s.queue_depth = 5;
+  s.latency_p50_ms = 500.0;
+  s.batch_size_p95 = 64.0;
+  s.verb_latency[2].p99_ms = 700.0;
+  s.verb_latency[3].max_ms = 900.0;
+  s.online_enabled = true;
+  s.online.reports = 1;
+  s.online.rolling_mape = 0.5;
+  return s;
+}
+
+TEST(MergeStatsTest, EveryFieldFollowsItsMergeRule) {
+  const ServerStats a = test::full_stats();
+  const ServerStats b = second_shard();
+  const ServerStats c = idle_shard();
+  const ServerStats m = merge_stats({a, b, c});
+
+  // Sums.
+  const auto sum = [&](auto field) { return a.*field + b.*field + c.*field; };
+  EXPECT_EQ(m.requests, sum(&ServerStats::requests));
+  EXPECT_EQ(m.errors, sum(&ServerStats::errors));
+  EXPECT_EQ(m.sweeps_computed, sum(&ServerStats::sweeps_computed));
+  EXPECT_EQ(m.coalesced, sum(&ServerStats::coalesced));
+  EXPECT_EQ(m.cache_hits, sum(&ServerStats::cache_hits));
+  EXPECT_EQ(m.cache_misses, sum(&ServerStats::cache_misses));
+  EXPECT_EQ(m.cache_evictions, sum(&ServerStats::cache_evictions));
+  EXPECT_EQ(m.cache_size, sum(&ServerStats::cache_size));
+  EXPECT_EQ(m.queue_depth, sum(&ServerStats::queue_depth));
+  EXPECT_EQ(m.deadline_exceeded, sum(&ServerStats::deadline_exceeded));
+  EXPECT_EQ(m.shed, sum(&ServerStats::shed));
+  EXPECT_EQ(m.stale_served, sum(&ServerStats::stale_served));
+  EXPECT_EQ(m.reload_failures, sum(&ServerStats::reload_failures));
+  EXPECT_EQ(m.retries, sum(&ServerStats::retries));
+  EXPECT_EQ(m.models_loaded, sum(&ServerStats::models_loaded));
+  EXPECT_EQ(m.models_trained, sum(&ServerStats::models_trained));
+  EXPECT_EQ(m.batched_requests, sum(&ServerStats::batched_requests));
+  EXPECT_EQ(m.batch_flushes, sum(&ServerStats::batch_flushes));
+  EXPECT_EQ(m.batch_bypass, sum(&ServerStats::batch_bypass));
+  EXPECT_EQ(m.overflow_closed, sum(&ServerStats::overflow_closed));
+
+  // Recomputed from the merged counters, not averaged.
+  EXPECT_DOUBLE_EQ(m.cache_hit_rate,
+                   static_cast<double>(a.cache_hits + b.cache_hits) /
+                       static_cast<double>(a.cache_hits + b.cache_hits +
+                                           a.cache_misses + b.cache_misses));
+
+  // Weighted means; the idle shard weighs nothing.
+  const auto mean = [](double xa, double wa, double xb, double wb) {
+    return (xa * wa + xb * wb) / (wa + wb);
+  };
+  const auto requests = [](const ServerStats& s) {
+    return static_cast<double>(s.requests);
+  };
+  const auto dispatches = [](const ServerStats& s) {
+    return static_cast<double>(s.batch_flushes + s.batch_bypass);
+  };
+  EXPECT_DOUBLE_EQ(m.latency_p50_ms, mean(a.latency_p50_ms, requests(a),
+                                          b.latency_p50_ms, requests(b)));
+  EXPECT_DOUBLE_EQ(m.latency_p95_ms, mean(a.latency_p95_ms, requests(a),
+                                          b.latency_p95_ms, requests(b)));
+  EXPECT_DOUBLE_EQ(m.latency_mean_ms, mean(a.latency_mean_ms, requests(a),
+                                           b.latency_mean_ms, requests(b)));
+  EXPECT_DOUBLE_EQ(m.batch_size_p50, mean(a.batch_size_p50, dispatches(a),
+                                          b.batch_size_p50, dispatches(b)));
+  EXPECT_DOUBLE_EQ(m.batch_size_p95, mean(a.batch_size_p95, dispatches(a),
+                                          b.batch_size_p95, dispatches(b)));
+
+  for (std::size_t v = 0; v < kNumOps; ++v) {
+    SCOPED_TRACE("verb " + std::to_string(v));
+    const VerbLatency& va = a.verb_latency[v];
+    const VerbLatency& vb = b.verb_latency[v];
+    const VerbLatency& vm = m.verb_latency[v];
+    const auto wa = static_cast<double>(va.count);
+    const auto wb = static_cast<double>(vb.count);
+    EXPECT_EQ(vm.count, va.count + vb.count);
+    EXPECT_DOUBLE_EQ(vm.p50_ms, mean(va.p50_ms, wa, vb.p50_ms, wb));
+    EXPECT_DOUBLE_EQ(vm.p95_ms, mean(va.p95_ms, wa, vb.p95_ms, wb));
+    EXPECT_DOUBLE_EQ(vm.p99_ms, mean(va.p99_ms, wa, vb.p99_ms, wb));
+    EXPECT_DOUBLE_EQ(vm.max_ms, std::max({va.max_ms, vb.max_ms,
+                                          c.verb_latency[v].max_ms}));
+  }
+
+  // Online: ORed gate; only the shards that run the loop contribute.
+  EXPECT_TRUE(m.online_enabled);
+  const OnlineStats& oa = a.online;
+  const OnlineStats& oc = c.online;
+  EXPECT_EQ(m.online.reports, oa.reports + oc.reports);
+  EXPECT_EQ(m.online.measurements, oa.measurements + oc.measurements);
+  EXPECT_EQ(m.online.duplicates, oa.duplicates + oc.duplicates);
+  EXPECT_EQ(m.online.rejected, oa.rejected + oc.rejected);
+  EXPECT_EQ(m.online.buffered, oa.buffered + oc.buffered);
+  EXPECT_EQ(m.online.rolling_mape, std::max(oa.rolling_mape, oc.rolling_mape));
+  EXPECT_EQ(m.online.drift_events, oa.drift_events + oc.drift_events);
+  EXPECT_EQ(m.online.incremental_updates,
+            oa.incremental_updates + oc.incremental_updates);
+  EXPECT_EQ(m.online.refits, oa.refits + oc.refits);
+  EXPECT_EQ(m.online.shadow_evals, oa.shadow_evals + oc.shadow_evals);
+  EXPECT_EQ(m.online.promotions, oa.promotions + oc.promotions);
+  EXPECT_EQ(m.online.promotions_rejected,
+            oa.promotions_rejected + oc.promotions_rejected);
+  EXPECT_EQ(m.online.cache_invalidated,
+            oa.cache_invalidated + oc.cache_invalidated);
+
+  // The merge of no shards is the zero snapshot, and the gate stays off
+  // when no shard runs the loop.
+  EXPECT_EQ(format_response(stats_response("", merge_stats({}))),
+            format_response(stats_response("", ServerStats{})));
+  EXPECT_FALSE(merge_stats({b}).online_enabled);
 }
 
 // ----------------------------------------------------------- EventLoopServer

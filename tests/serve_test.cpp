@@ -40,14 +40,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test.
-std::string scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ccpred_serve_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
-
 /// A small fitted GB on real campaign features (4 columns), fast to train.
 ml::GradientBoostingRegressor campaign_gb(int stages = 15) {
   static const auto split = test::small_campaign(250);
@@ -222,7 +214,7 @@ TEST(SweepCacheTest, VersionIsPartOfTheKey) {
 // ----------------------------------------------------------- ModelRegistry
 
 TEST(ModelRegistryTest, LoadsPublishedArtifact) {
-  const auto dir = scratch_dir("registry_load");
+  const auto dir = test::scratch_dir("registry_load");
   const auto model = campaign_gb();
   ModelRegistry registry(dir);
   ml::save_gb(model, registry.artifact_path("aurora", "gb"));
@@ -245,7 +237,7 @@ TEST(ModelRegistryTest, LoadsPublishedArtifact) {
 }
 
 TEST(ModelRegistryTest, HotReloadsOnArtifactChange) {
-  const auto dir = scratch_dir("registry_reload");
+  const auto dir = test::scratch_dir("registry_reload");
   ModelRegistry registry(dir);
   const auto path = registry.artifact_path("aurora", "gb");
   ml::save_gb(campaign_gb(10), path);
@@ -265,7 +257,7 @@ TEST(ModelRegistryTest, HotReloadsOnArtifactChange) {
 }
 
 TEST(ModelRegistryTest, TrainsAndCachesWhenArtifactMissing) {
-  const auto dir = scratch_dir("registry_train");
+  const auto dir = test::scratch_dir("registry_train");
   RegistryOptions opt;
   opt.fallback_rows = 150;  // clipped up to one row per config — still small
   opt.gb_estimators = 6;
@@ -285,7 +277,7 @@ TEST(ModelRegistryTest, TrainsAndCachesWhenArtifactMissing) {
 }
 
 TEST(ModelRegistryTest, RejectsUnknownMachineAndKind) {
-  ModelRegistry registry(scratch_dir("registry_bad"));
+  ModelRegistry registry(test::scratch_dir("registry_bad"));
   EXPECT_THROW(registry.get("summit", "gb"), Error);
   EXPECT_THROW(registry.get("aurora", "xgboost"), Error);
 }
@@ -299,7 +291,7 @@ struct ServerFixture {
   explicit ServerFixture(std::size_t cache_capacity = 32,
                          std::size_t threads = 4, ServeOptions base = {},
                          const std::string& name = "server")
-      : dir(scratch_dir(name)), registry(dir) {
+      : dir(test::scratch_dir(name)), registry(dir) {
     ml::save_gb(campaign_gb(), registry.artifact_path("aurora", "gb"));
     base.threads = threads;
     base.cache_capacity = cache_capacity;
@@ -1215,47 +1207,167 @@ TEST(ServerStatsTest, OverflowSourceFeedsStats) {
   EXPECT_EQ(f.server->stats().overflow_closed, 7u);
 }
 
-TEST(ServerStatsTest, BatchAndTailFieldsSurviveTheWire) {
+Response stats_response_of(const ServerStats& stats) {
   Response r;
   r.ok = true;
   r.op = "stats";
+  r.id = "golden";
   r.has_stats = true;
-  r.stats.batched_requests = 123;
-  r.stats.batch_flushes = 17;
-  r.stats.batch_bypass = 9;
-  r.stats.batch_size_p50 = 3.5;
-  r.stats.batch_size_p95 = 12.25;
-  r.stats.overflow_closed = 4;
-  auto& verb = r.stats.verb_latency[static_cast<int>(Op::kStq)];
-  verb.count = 11;
-  verb.p50_ms = 0.5;
-  verb.p95_ms = 2.0;
-  verb.p99_ms = 3.75;
-  verb.max_ms = 8.125;
+  r.stats = stats;
+  return r;
+}
 
-  const std::string frame = wire::encode_response_frame({r});
-  wire::FrameHeader header;
-  std::string error;
-  ASSERT_EQ(wire::probe_frame(
-                reinterpret_cast<const unsigned char*>(frame.data()),
-                frame.size(), &header, &error),
-            wire::FrameStatus::kHeader)
-      << error;
-  const auto decoded = wire::decode_response_frame(
-      header,
-      reinterpret_cast<const unsigned char*>(frame.data()) + wire::kHeaderBytes);
-  ASSERT_EQ(decoded.size(), 1u);
-  const auto& d = decoded[0].stats;
-  EXPECT_EQ(d.batched_requests, 123u);
-  EXPECT_EQ(d.batch_flushes, 17u);
-  EXPECT_EQ(d.batch_bypass, 9u);
-  EXPECT_EQ(d.batch_size_p50, 3.5);
-  EXPECT_EQ(d.batch_size_p95, 12.25);
-  EXPECT_EQ(d.overflow_closed, 4u);
-  const auto& dv = decoded[0].stats.verb_latency[static_cast<int>(Op::kStq)];
-  EXPECT_EQ(dv.count, 11u);
-  EXPECT_EQ(dv.p99_ms, 3.75);
-  EXPECT_EQ(dv.max_ms, 8.125);
+/// A snapshot that exercises the encoders' gates: online learning off and
+/// only one verb served.
+ServerStats sparse_stats() {
+  ServerStats s;
+  s.requests = 7;
+  s.cache_hit_rate = 0.5;
+  auto& verb = s.verb_latency[static_cast<int>(Op::kBq)];
+  verb.count = 7;
+  verb.p50_ms = 0.5;
+  verb.p99_ms = 3.75;
+  return s;
+}
+
+std::string hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 15]);
+  }
+  return out;
+}
+
+// Captured from the hand-written encoders the schema table replaced: the
+// table-driven encoders must reproduce these bytes exactly.
+constexpr const char* kFullJson =
+    "{\"ok\":true,\"op\":\"stats\",\"id\":\"golden\",\"requests\":101,"
+    "\"errors\":102,\"sweeps_computed\":103,\"coalesced\":104,"
+    "\"cache_hits\":105,\"cache_misses\":106,\"cache_evictions\":107,"
+    "\"cache_hit_rate\":0.4976525822,\"cache_size\":108,"
+    "\"queue_depth\":109,\"deadline_exceeded\":110,\"shed\":111,"
+    "\"stale_served\":112,\"reload_failures\":113,\"retries\":114,"
+    "\"models_loaded\":115,\"models_trained\":116,"
+    "\"latency_p50_ms\":1.25,\"latency_p95_ms\":2.5,"
+    "\"latency_mean_ms\":0.3333333333,\"batched_requests\":117,"
+    "\"batch_flushes\":118,\"batch_bypass\":119,"
+    "\"batch_size_p50\":3.75,\"batch_size_p95\":7.5,"
+    "\"overflow_closed\":120,\"lat_stq_count\":200,"
+    "\"lat_stq_p50_ms\":10.125,\"lat_stq_p95_ms\":10.25,"
+    "\"lat_stq_p99_ms\":10.5,\"lat_stq_max_ms\":10.75,"
+    "\"lat_bq_count\":201,\"lat_bq_p50_ms\":20.125,"
+    "\"lat_bq_p95_ms\":20.25,\"lat_bq_p99_ms\":20.5,"
+    "\"lat_bq_max_ms\":20.75,\"lat_budget_count\":202,"
+    "\"lat_budget_p50_ms\":30.125,\"lat_budget_p95_ms\":30.25,"
+    "\"lat_budget_p99_ms\":30.5,\"lat_budget_max_ms\":30.75,"
+    "\"lat_job_count\":203,\"lat_job_p50_ms\":40.125,"
+    "\"lat_job_p95_ms\":40.25,\"lat_job_p99_ms\":40.5,"
+    "\"lat_job_max_ms\":40.75,\"lat_stats_count\":204,"
+    "\"lat_stats_p50_ms\":50.125,\"lat_stats_p95_ms\":50.25,"
+    "\"lat_stats_p99_ms\":50.5,\"lat_stats_max_ms\":50.75,"
+    "\"lat_report_count\":205,\"lat_report_p50_ms\":60.125,"
+    "\"lat_report_p95_ms\":60.25,\"lat_report_p99_ms\":60.5,"
+    "\"lat_report_max_ms\":60.75,\"online_reports\":301,"
+    "\"online_measurements\":302,\"online_duplicates\":303,"
+    "\"online_rejected\":304,\"online_buffered\":305,"
+    "\"online_rolling_mape\":0.0625,\"online_drift_events\":306,"
+    "\"online_incremental_updates\":307,\"online_refits\":308,"
+    "\"online_shadow_evals\":309,\"online_promotions\":310,"
+    "\"online_promotions_rejected\":311,"
+    "\"online_cache_invalidated\":312}";
+constexpr const char* kSparseJson =
+    "{\"ok\":true,\"op\":\"stats\",\"id\":\"golden\",\"requests\":7,"
+    "\"errors\":0,\"sweeps_computed\":0,\"coalesced\":0,\"cache_hits\":0,"
+    "\"cache_misses\":0,\"cache_evictions\":0,\"cache_hit_rate\":0.5,"
+    "\"cache_size\":0,\"queue_depth\":0,\"deadline_exceeded\":0,"
+    "\"shed\":0,\"stale_served\":0,\"reload_failures\":0,\"retries\":0,"
+    "\"models_loaded\":0,\"models_trained\":0,\"latency_p50_ms\":0,"
+    "\"latency_p95_ms\":0,\"latency_mean_ms\":0,\"batched_requests\":0,"
+    "\"batch_flushes\":0,\"batch_bypass\":0,\"batch_size_p50\":0,"
+    "\"batch_size_p95\":0,\"overflow_closed\":0,\"lat_bq_count\":7,"
+    "\"lat_bq_p50_ms\":0.5,\"lat_bq_p95_ms\":0,\"lat_bq_p99_ms\":3.75,"
+    "\"lat_bq_max_ms\":0}";
+constexpr const char* kFullFrame =
+    "c343504201010100450200002105000000737461747306000000676f6c64656e"
+    "0000000000000000650000000000000066000000000000006700000000000000"
+    "680000000000000069000000000000006a000000000000006b00000000000000"
+    "b56954378ad9df3f6c000000000000006d000000000000006e00000000000000"
+    "6f00000000000000700000000000000071000000000000007200000000000000"
+    "73000000000000007400000000000000000000000000f43f0000000000000440"
+    "555555555555d53f750000000000000076000000000000007700000000000000"
+    "0000000000000e400000000000001e407800000000000000c800000000000000"
+    "0000000000402440000000000080244000000000000025400000000000802540"
+    "c900000000000000000000000020344000000000004034400000000000803440"
+    "0000000000c03440ca000000000000000000000000203e400000000000403e40"
+    "0000000000803e400000000000c03e40cb000000000000000000000000104440"
+    "000000000020444000000000004044400000000000604440cc00000000000000"
+    "0000000000104940000000000020494000000000004049400000000000604940"
+    "cd000000000000000000000000104e400000000000204e400000000000404e40"
+    "0000000000604e40012d010000000000002e010000000000002f010000000000"
+    "0030010000000000003101000000000000000000000000b03f32010000000000"
+    "0033010000000000003401000000000000350100000000000036010000000000"
+    "0037010000000000003801000000000000";
+constexpr const char* kSparseFrame =
+    "c343504201010100dd0100002105000000737461747306000000676f6c64656e"
+    "0000000000000000070000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000e03f000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0700000000000000000000000000e03f00000000000000000000000000000e40"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000";
+
+TEST(ServerStatsTest, StatsEncodingsMatchGoldenBytes) {
+  EXPECT_EQ(format_response(stats_response_of(test::full_stats())),
+            kFullJson);
+  EXPECT_EQ(format_response(stats_response_of(sparse_stats())), kSparseJson);
+  EXPECT_EQ(hex(wire::encode_response_frame(
+                {stats_response_of(test::full_stats())})),
+            kFullFrame);
+  EXPECT_EQ(
+      hex(wire::encode_response_frame({stats_response_of(sparse_stats())})),
+      kSparseFrame);
+}
+
+TEST(ServerStatsTest, EveryFieldSurvivesTheWire) {
+  for (const ServerStats& stats : {test::full_stats(), sparse_stats()}) {
+    const std::string frame =
+        wire::encode_response_frame({stats_response_of(stats)});
+    wire::FrameHeader header;
+    std::string error;
+    ASSERT_EQ(wire::probe_frame(
+                  reinterpret_cast<const unsigned char*>(frame.data()),
+                  frame.size(), &header, &error),
+              wire::FrameStatus::kHeader)
+        << error;
+    const auto decoded = wire::decode_response_frame(
+        header, reinterpret_cast<const unsigned char*>(frame.data()) +
+                    wire::kHeaderBytes);
+    ASSERT_EQ(decoded.size(), 1u);
+    ASSERT_TRUE(decoded[0].has_stats);
+    // Re-encoding the decoded snapshot reproduces every byte (so every
+    // field, including the ones the JSON gates hide), and the JSON lines
+    // agree too.
+    EXPECT_EQ(wire::encode_response_frame(decoded), frame);
+    EXPECT_EQ(format_response(decoded[0]),
+              format_response(stats_response_of(stats)));
+    EXPECT_EQ(decoded[0].stats.online_enabled, stats.online_enabled);
+    EXPECT_EQ(decoded[0].stats.online.cache_invalidated,
+              stats.online.cache_invalidated);
+    const auto& dv = decoded[0].stats.verb_latency[static_cast<int>(Op::kBq)];
+    EXPECT_EQ(dv.count, stats.verb_latency[static_cast<int>(Op::kBq)].count);
+    EXPECT_EQ(dv.max_ms, stats.verb_latency[static_cast<int>(Op::kBq)].max_ms);
+  }
 }
 
 TEST(EventLoopOptionsTest, EffectiveInbufResolvesZeroToDerivedDefault) {

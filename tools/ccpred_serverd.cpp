@@ -371,7 +371,8 @@ class FleetRouter {
   std::vector<serve::Response> forward_batch(
       std::vector<serve::Request> batch) {
     if (batch.empty()) return {};
-    const std::uint64_t key = key_of(batch.front());
+    const std::uint64_t key = serve::HashRing::request_key(
+        batch.front(), default_machine_, default_model_);
     const std::vector<int> prefs = ring_.preference(key, remotes_.size());
     for (std::size_t k = 0; k < prefs.size(); ++k) {
       const auto shard = static_cast<std::size_t>(prefs[k]);
@@ -414,14 +415,6 @@ class FleetRouter {
     int fd = -1;       ///< pooled connection, opened lazily
     std::atomic<bool> alive{true};
   };
-
-  std::uint64_t key_of(const serve::Request& request) const {
-    const std::string& machine =
-        request.machine.empty() ? default_machine_ : request.machine;
-    const std::string& model =
-        request.model.empty() ? default_model_ : request.model;
-    return serve::HashRing::key_hash(machine, model, request.o, request.v);
-  }
 
   void mark_dead(std::size_t shard, const char* why) {
     Remote& remote = *remotes_[shard];
@@ -508,128 +501,30 @@ class FleetRouter {
     }
   }
 
-  /// Fans a stats request out to every live shard and aggregates, mirroring
-  /// ShardFleet::aggregated_stats (shards own separate registries here, so
-  /// registry counters sum instead of being taken once).
+  /// Fans a stats request out to every live shard and merges the replies
+  /// with the same merge_stats the in-process fleet uses. Each shard
+  /// process owns its registry, so registry counters sum.
   serve::Response stats_response(const serve::Request& request) {
-    serve::Response out;
-    out.op = serve::op_name(serve::Op::kStats);
-    out.id = request.id;
-    serve::ServerStats& total = out.stats;
-    std::uint64_t latency_weight = 0;
-    std::uint64_t verb_weight[serve::kNumOps] = {};
-    bool any = false;
+    std::vector<serve::ServerStats> shards;
     for (std::size_t shard = 0; shard < remotes_.size(); ++shard) {
       Remote& remote = *remotes_[shard];
       if (!remote.alive.load(std::memory_order_acquire)) continue;
-      std::vector<serve::Response> replies;
       try {
-        replies = exchange(remote, {request});
+        const std::vector<serve::Response> replies =
+            exchange(remote, {request});
+        if (replies.size() == 1 && replies[0].ok && replies[0].has_stats) {
+          shards.push_back(replies[0].stats);
+        }
       } catch (const std::exception& e) {
         mark_dead(shard, e.what());
-        continue;
-      }
-      if (replies.size() != 1 || !replies[0].ok || !replies[0].has_stats) {
-        continue;
-      }
-      any = true;
-      const serve::ServerStats& s = replies[0].stats;
-      total.requests += s.requests;
-      total.errors += s.errors;
-      total.sweeps_computed += s.sweeps_computed;
-      total.coalesced += s.coalesced;
-      total.cache_hits += s.cache_hits;
-      total.cache_misses += s.cache_misses;
-      total.cache_evictions += s.cache_evictions;
-      total.cache_size += s.cache_size;
-      total.queue_depth += s.queue_depth;
-      total.deadline_exceeded += s.deadline_exceeded;
-      total.shed += s.shed;
-      total.stale_served += s.stale_served;
-      total.reload_failures += s.reload_failures;
-      total.retries += s.retries;
-      total.models_loaded += s.models_loaded;
-      total.models_trained += s.models_trained;
-      total.latency_p50_ms +=
-          s.latency_p50_ms * static_cast<double>(s.requests);
-      total.latency_p95_ms +=
-          s.latency_p95_ms * static_cast<double>(s.requests);
-      total.latency_mean_ms +=
-          s.latency_mean_ms * static_cast<double>(s.requests);
-      latency_weight += s.requests;
-      total.batched_requests += s.batched_requests;
-      total.batch_flushes += s.batch_flushes;
-      total.batch_bypass += s.batch_bypass;
-      const auto dispatches =
-          static_cast<double>(s.batch_flushes + s.batch_bypass);
-      total.batch_size_p50 += s.batch_size_p50 * dispatches;
-      total.batch_size_p95 += s.batch_size_p95 * dispatches;
-      total.overflow_closed += s.overflow_closed;
-      for (std::size_t v = 0; v < serve::kNumOps; ++v) {
-        total.verb_latency[v].count += s.verb_latency[v].count;
-        total.verb_latency[v].p50_ms +=
-            s.verb_latency[v].p50_ms *
-            static_cast<double>(s.verb_latency[v].count);
-        total.verb_latency[v].p95_ms +=
-            s.verb_latency[v].p95_ms *
-            static_cast<double>(s.verb_latency[v].count);
-        total.verb_latency[v].p99_ms +=
-            s.verb_latency[v].p99_ms *
-            static_cast<double>(s.verb_latency[v].count);
-        total.verb_latency[v].max_ms =
-            std::max(total.verb_latency[v].max_ms, s.verb_latency[v].max_ms);
-        verb_weight[v] += s.verb_latency[v].count;
-      }
-      if (s.online_enabled) {
-        total.online_enabled = true;
-        total.online.reports += s.online.reports;
-        total.online.measurements += s.online.measurements;
-        total.online.duplicates += s.online.duplicates;
-        total.online.rejected += s.online.rejected;
-        total.online.buffered += s.online.buffered;
-        total.online.rolling_mape =
-            std::max(total.online.rolling_mape, s.online.rolling_mape);
-        total.online.drift_events += s.online.drift_events;
-        total.online.incremental_updates += s.online.incremental_updates;
-        total.online.refits += s.online.refits;
-        total.online.shadow_evals += s.online.shadow_evals;
-        total.online.promotions += s.online.promotions;
-        total.online.promotions_rejected += s.online.promotions_rejected;
-        total.online.cache_invalidated += s.online.cache_invalidated;
       }
     }
-    if (!any) {
+    if (shards.empty()) {
       return serve::error_response("no live shard",
                                    serve::op_name(serve::Op::kStats),
                                    request.id, "unavailable");
     }
-    if (latency_weight > 0) {
-      const double w = static_cast<double>(latency_weight);
-      total.latency_p50_ms /= w;
-      total.latency_p95_ms /= w;
-      total.latency_mean_ms /= w;
-    }
-    for (std::size_t v = 0; v < serve::kNumOps; ++v) {
-      if (verb_weight[v] == 0) continue;
-      const double w = static_cast<double>(verb_weight[v]);
-      total.verb_latency[v].p50_ms /= w;
-      total.verb_latency[v].p95_ms /= w;
-      total.verb_latency[v].p99_ms /= w;
-    }
-    if (total.batch_flushes + total.batch_bypass > 0) {
-      const auto w =
-          static_cast<double>(total.batch_flushes + total.batch_bypass);
-      total.batch_size_p50 /= w;
-      total.batch_size_p95 /= w;
-    }
-    if (total.cache_hits + total.cache_misses > 0) {
-      total.cache_hit_rate =
-          static_cast<double>(total.cache_hits) /
-          static_cast<double>(total.cache_hits + total.cache_misses);
-    }
-    out.ok = true;
-    out.has_stats = true;
-    return out;
+    return serve::stats_response(request.id, serve::merge_stats(shards));
   }
 
   const std::string default_machine_;
