@@ -1,6 +1,7 @@
 #include "ccpred/core/compiled_ensemble.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "ccpred/common/error.hpp"
@@ -16,6 +17,19 @@ namespace {
 /// scratch (~44 bytes/row) still fit comfortably in L2 while the ensemble
 /// is re-streamed n_rows / kRowBlock times instead of per row.
 constexpr std::size_t kRowBlock = 4096;
+
+/// Index of the first value of the increasing `ax` (length n >= 1) above
+/// `t`. The probe sequence depends on n alone, so the search compiles to
+/// conditional moves instead of data-dependent branches.
+std::size_t first_above(const double* ax, std::size_t n, double t) {
+  const double* base = ax;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] <= t ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - ax) + (*base <= t ? 1 : 0);
+}
 }  // namespace
 
 CompiledEnsemble CompiledEnsemble::flatten(
@@ -135,12 +149,7 @@ void CompiledEnsemble::predict_batch(const double* x, std::size_t n_rows,
       for (std::size_t i = 0; i < bn; ++i) acc[i] += value[idx[i]];
     }
     double* o = out + block;
-    if (mean_) {
-      const auto count = static_cast<double>(roots_.size());
-      for (std::size_t i = 0; i < bn; ++i) o[i] = acc[i] / count;
-    } else {
-      for (std::size_t i = 0; i < bn; ++i) o[i] = bias_ + scale_ * acc[i];
-    }
+    for (std::size_t i = 0; i < bn; ++i) o[i] = finish(acc[i]);
   }
 }
 
@@ -164,8 +173,76 @@ double CompiledEnsemble::predict_row(const double* row) const {
     }
     acc += value_[idx];
   }
-  if (mean_) return acc / static_cast<double>(roots_.size());
-  return bias_ + scale_ * acc;
+  return finish(acc);
+}
+
+std::vector<double> CompiledEnsemble::predict_grid(
+    const FeatureGrid& grid) const {
+  check_grid(grid);
+  std::vector<double> acc(grid.size(), 0.0);
+  if (acc.empty()) return acc;
+  const std::size_t nb = grid.b.size();
+  const double* base = grid.base.data();
+  const std::array<const double*, 2> axis = {grid.a.data(), grid.b.data()};
+  const std::array<std::size_t, 2> axis_len = {grid.a.size(), nb};
+  const std::array<std::int32_t, 2> axis_col = {
+      static_cast<std::int32_t>(grid.col_a),
+      static_cast<std::int32_t>(grid.col_b)};
+
+  // A node reached by the cells a[lo[0], hi[0]) x b[lo[1], hi[1]).
+  struct Rect {
+    std::int32_t node;
+    std::array<std::size_t, 2> lo;
+    std::array<std::size_t, 2> hi;
+  };
+  std::vector<Rect> pending;
+  for (const std::int32_t root : roots_) {
+    pending.push_back(Rect{root, {0, 0}, {grid.a.size(), nb}});
+    while (!pending.empty()) {
+      Rect r = pending.back();
+      pending.pop_back();
+      // Stops at a leaf (flatten makes leaves self-loops), not at a failed
+      // compare, so a NaN fixed value goes right at every split exactly as
+      // in the walk. Axes are NaN-free by check_grid.
+      for (;;) {
+        const TravNode& nd = nodes_[r.node];
+        if (nd.left == r.node) break;
+        const int k = nd.tfeat == axis_col[0]   ? 0
+                      : nd.tfeat == axis_col[1] ? 1
+                                                : -1;
+        if (k < 0) {
+          r.node = nd.left + static_cast<std::int32_t>(
+                                 !(base[nd.tfeat] <= nd.threshold));
+          continue;
+        }
+        // The axis is strictly increasing, so the cells with value <=
+        // threshold (left) are the prefix before the first value above it;
+        // clamping the whole-axis index into the rectangle gives the cut.
+        const std::size_t cut =
+            std::clamp(first_above(axis[k], axis_len[k], nd.threshold),
+                       r.lo[k], r.hi[k]);
+        if (cut == r.lo[k]) {
+          r.node = nd.left + 1;  // every cell goes right
+        } else if (cut == r.hi[k]) {
+          r.node = nd.left;  // every cell goes left
+        } else {
+          Rect right = r;
+          right.node = nd.left + 1;
+          right.lo[k] = cut;
+          pending.push_back(right);
+          r.node = nd.left;
+          r.hi[k] = cut;
+        }
+      }
+      const double v = value_[r.node];
+      for (std::size_t i = r.lo[0]; i < r.hi[0]; ++i) {
+        double* row = acc.data() + i * nb;
+        for (std::size_t j = r.lo[1]; j < r.hi[1]; ++j) row[j] += v;
+      }
+    }
+  }
+  for (double& cell : acc) cell = finish(cell);
+  return acc;
 }
 
 }  // namespace ccpred::ml

@@ -15,12 +15,21 @@
 /// values accumulate in the same tree order with the same comparisons, and
 /// the final transform replicates the walk's expression exactly
 /// (GB: bias + rate * sum; RF: sum / tree_count).
+///
+/// predict_grid answers a whole FeatureGrid (the advisor's node x tile
+/// sweep) with ONE descent per tree instead of one per cell: a split on a
+/// fixed column is a plain comparison, a split on an axis column cuts the
+/// current cell rectangle at the first axis value above the threshold,
+/// and each reached leaf adds its value to every cell of its rectangle.
+/// Every cell still sums one leaf per tree in tree order, so the grid is
+/// bit-identical to predict_batch over the materialised rows.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ccpred/common/aligned.hpp"
+#include "ccpred/core/regressor.hpp"
 #include "ccpred/linalg/matrix.hpp"
 #include "ccpred/simd/simd.hpp"
 
@@ -50,11 +59,21 @@ class CompiledEnsemble {
   /// Single-row prediction (same result as predict_batch on one row).
   double predict_row(const double* row) const;
 
+  /// Every cell of `grid` in cell order, bit-identical to predict_batch
+  /// over grid.rows(). Throws ccpred::Error when check_grid rejects it.
+  std::vector<double> predict_grid(const FeatureGrid& grid) const;
+
   std::size_t tree_count() const { return roots_.size(); }
   std::size_t node_count() const { return feature_.size(); }
 
  private:
   static CompiledEnsemble flatten(const std::vector<DecisionTreeRegressor>& trees);
+
+  /// The final transform of a summed leaf total (see mean_).
+  double finish(double acc) const {
+    return mean_ ? acc / static_cast<double>(roots_.size())
+                 : bias_ + scale_ * acc;
+  }
 
   /// One traversal node, packed to 16 bytes (4 per cache line) so each
   /// descent step costs three loads: the node pair, and one row value.

@@ -116,6 +116,12 @@ std::vector<double> GradientBoostingRegressor::predict(
   return compiled_->predict_batch(x);
 }
 
+std::vector<double> GradientBoostingRegressor::predict_grid(
+    const FeatureGrid& grid) const {
+  CCPRED_CHECK_MSG(fitted_, "GradientBoostingRegressor::predict before fit");
+  return compiled_->predict_grid(grid);
+}
+
 std::vector<double> GradientBoostingRegressor::predict_walk(
     const linalg::Matrix& x) const {
   return predict_staged(x, trees_.size());

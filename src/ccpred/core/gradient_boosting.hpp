@@ -41,6 +41,10 @@ class GradientBoostingRegressor : public Regressor {
   /// predict_walk.
   std::vector<double> predict(const linalg::Matrix& x) const override;
 
+  /// One compiled descent per tree for the whole grid; bit-identical to
+  /// predict(grid.rows()).
+  std::vector<double> predict_grid(const FeatureGrid& grid) const override;
+
   /// Reference tree-walk prediction path — kept as the verification
   /// baseline for the compiled engine (tests assert bitwise equality).
   std::vector<double> predict_walk(const linalg::Matrix& x) const;

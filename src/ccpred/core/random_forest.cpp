@@ -85,6 +85,12 @@ std::vector<double> RandomForestRegressor::predict(
   return compiled_->predict_batch(x);
 }
 
+std::vector<double> RandomForestRegressor::predict_grid(
+    const FeatureGrid& grid) const {
+  CCPRED_CHECK_MSG(is_fitted(), "RandomForestRegressor::predict before fit");
+  return compiled_->predict_grid(grid);
+}
+
 std::vector<double> RandomForestRegressor::predict_walk(
     const linalg::Matrix& x) const {
   CCPRED_CHECK_MSG(is_fitted(), "RandomForestRegressor::predict before fit");

@@ -4,6 +4,7 @@
 /// The common interface of all ccpred regression models — the C++
 /// counterpart of the scikit-learn estimator protocol the paper relies on.
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,6 +20,29 @@ namespace ccpred::ml {
 /// Bayesian search uniform across models.
 using ParamMap = std::map<std::string, double>;
 
+/// A grid of feature rows that differ in two columns only: cell (i, j) is
+/// `base` with column `col_a` set to a[i] and column `col_b` set to b[j].
+/// Cells are numbered row-major, `a` outer — the order of the advisor's
+/// node-menu x tile-menu sweep. The values `base` holds at the two axis
+/// columns are ignored.
+struct FeatureGrid {
+  std::vector<double> base;
+  std::size_t col_a = 0;
+  std::vector<double> a;
+  std::size_t col_b = 1;
+  std::vector<double> b;
+
+  std::size_t size() const { return a.size() * b.size(); }
+
+  /// The grid as one feature row per cell, in cell order.
+  linalg::Matrix rows() const;
+};
+
+/// Throws ccpred::Error unless the axis columns are distinct columns of
+/// `base` and both axes are strictly increasing and NaN-free — the shape
+/// that lets a tree model cut an axis at one binary-searched index.
+void check_grid(const FeatureGrid& grid);
+
 /// Abstract regression model: fit on (X, y), predict on X'.
 class Regressor {
  public:
@@ -30,6 +54,14 @@ class Regressor {
 
   /// Predicts targets for each row of `x`. Requires fit() first.
   virtual std::vector<double> predict(const linalg::Matrix& x) const = 0;
+
+  /// Predicts every cell of `grid` (checked by check_grid), bit for bit
+  /// equal to predict(grid.rows()). The default does exactly that; tree
+  /// ensembles override it with one descent per tree for the whole grid.
+  virtual std::vector<double> predict_grid(const FeatureGrid& grid) const {
+    check_grid(grid);
+    return predict(grid.rows());
+  }
 
   /// Fresh unfitted copy with identical hyper-parameters.
   virtual std::unique_ptr<Regressor> clone() const = 0;

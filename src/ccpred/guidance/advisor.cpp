@@ -55,94 +55,44 @@ Advisor::Advisor(const ml::Regressor& model,
   CCPRED_CHECK_MSG(model.is_fitted(), "Advisor needs a fitted model");
 }
 
-namespace {
-
-/// Enumerates the feasible (nodes, tile) grid for one problem; throws when
-/// nothing fits the machine.
-std::vector<sim::RunConfig> feasible_candidates(
-    const sim::CcsdSimulator& simulator, int o, int v) {
-  CCPRED_CHECK_MSG(o > 0 && v > 0, "orbital counts must be positive");
-  std::vector<sim::RunConfig> candidates;
-  for (int n : simulator.machine().node_menu()) {
-    for (int t : simulator.machine().tile_menu()) {
-      const sim::RunConfig cfg{.o = o, .v = v, .nodes = n, .tile = t};
-      if (simulator.feasible(cfg)) candidates.push_back(cfg);
-    }
-  }
-  CCPRED_CHECK_MSG(!candidates.empty(), "no feasible configuration for O="
-                                            << o << " V=" << v);
-  return candidates;
-}
-
-/// Predictions -> sweep points for one problem's candidate slice.
-std::vector<SweepPoint> sweep_from_predictions(
-    const std::vector<sim::RunConfig>& candidates,
-    const std::vector<double>& times, std::size_t offset) {
-  std::vector<SweepPoint> sweep;
-  sweep.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    SweepPoint pt;
-    pt.config = candidates[i];
-    pt.predicted_time_s = times[offset + i];
-    pt.predicted_node_hours =
-        sim::CcsdSimulator::node_hours(candidates[i], times[offset + i]);
-    sweep.push_back(pt);
-  }
-  return sweep;
-}
-
-}  // namespace
-
 Recommendation Advisor::recommend(int o, int v, Objective objective) const {
-  const std::vector<sim::RunConfig> candidates =
-      feasible_candidates(simulator_, o, v);
+  CCPRED_CHECK_MSG(o > 0 && v > 0, "orbital counts must be positive");
+  const std::vector<int> node_menu = simulator_.machine().node_menu();
+  const std::vector<int> tile_menu = simulator_.machine().tile_menu();
 
-  // One batched prediction over the whole sweep.
-  linalg::Matrix x(candidates.size(), data::kNumFeatures);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    x(i, data::kFeatO) = candidates[i].o;
-    x(i, data::kFeatV) = candidates[i].v;
-    x(i, data::kFeatNodes) = candidates[i].nodes;
-    x(i, data::kFeatTile) = candidates[i].tile;
-  }
-  const auto times = model_.predict(x);
-  return from_sweep(sweep_from_predictions(candidates, times, 0), objective);
-}
-
-std::vector<Recommendation> Advisor::recommend_batch(
-    const std::vector<std::pair<int, int>>& problems,
-    Objective objective) const {
-  // Enumerate every problem's grid first so the matrix is sized once.
-  std::vector<std::vector<sim::RunConfig>> grids;
-  grids.reserve(problems.size());
-  std::size_t rows = 0;
-  for (const auto& [o, v] : problems) {
-    grids.push_back(feasible_candidates(simulator_, o, v));
-    rows += grids.back().size();
-  }
-
-  linalg::Matrix x(rows, data::kNumFeatures);
-  std::size_t row = 0;
-  for (const auto& grid : grids) {
-    for (const auto& cfg : grid) {
-      x(row, data::kFeatO) = cfg.o;
-      x(row, data::kFeatV) = cfg.v;
-      x(row, data::kFeatNodes) = cfg.nodes;
-      x(row, data::kFeatTile) = cfg.tile;
-      ++row;
+  // The feasible cells of the node x tile menu grid, in menu order.
+  std::vector<SweepPoint> sweep;
+  std::vector<std::size_t> cells;
+  for (std::size_t i = 0; i < node_menu.size(); ++i) {
+    for (std::size_t j = 0; j < tile_menu.size(); ++j) {
+      const sim::RunConfig cfg{
+          .o = o, .v = v, .nodes = node_menu[i], .tile = tile_menu[j]};
+      if (simulator_.feasible(cfg)) {
+        sweep.emplace_back().config = cfg;
+        cells.push_back(i * tile_menu.size() + j);
+      }
     }
   }
-  const auto times = model_.predict(x);
+  CCPRED_CHECK_MSG(!sweep.empty(), "no feasible configuration for O="
+                                       << o << " V=" << v);
 
-  std::vector<Recommendation> out;
-  out.reserve(problems.size());
-  std::size_t offset = 0;
-  for (const auto& grid : grids) {
-    out.push_back(
-        from_sweep(sweep_from_predictions(grid, times, offset), objective));
-    offset += grid.size();
+  // One prediction over the whole menu grid (tree ensembles descend each
+  // tree once for all of it); infeasible cells are dropped afterwards.
+  ml::FeatureGrid grid;
+  grid.base.assign(data::kNumFeatures, 0.0);
+  grid.base[data::kFeatO] = o;
+  grid.base[data::kFeatV] = v;
+  grid.col_a = data::kFeatNodes;
+  grid.a.assign(node_menu.begin(), node_menu.end());
+  grid.col_b = data::kFeatTile;
+  grid.b.assign(tile_menu.begin(), tile_menu.end());
+  const std::vector<double> times = model_.predict_grid(grid);
+  for (std::size_t k = 0; k < sweep.size(); ++k) {
+    sweep[k].predicted_time_s = times[cells[k]];
+    sweep[k].predicted_node_hours =
+        sim::CcsdSimulator::node_hours(sweep[k].config, times[cells[k]]);
   }
-  return out;
+  return from_sweep(std::move(sweep), objective);
 }
 
 Recommendation Advisor::from_sweep(std::vector<SweepPoint> sweep,

@@ -7,7 +7,6 @@
 /// exactly the iterative-querying procedure the paper describes.
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "ccpred/core/regressor.hpp"
@@ -47,20 +46,10 @@ class Advisor {
   Advisor(const ml::Regressor& model, const sim::CcsdSimulator& simulator);
 
   /// Recommends the configuration minimizing the objective for (o, v).
-  /// Sweeps the machine's node menu clipped to memory feasibility and the
-  /// full tile menu.
+  /// Predicts the machine's whole node x tile menu grid in one
+  /// Regressor::predict_grid call and sweeps its memory-feasible cells in
+  /// menu order (node outer, tile inner).
   Recommendation recommend(int o, int v, Objective objective) const;
-
-  /// Batched recommend(): concatenates every problem's candidate grid into
-  /// ONE feature matrix and runs ONE model predict over it, so the wide
-  /// batch kernels see cross-request batches instead of per-request ones.
-  /// Row predictions are independent of their neighbours, so each returned
-  /// Recommendation is bit-identical to recommend(o, v, objective) — the
-  /// serving layer's batch lane relies on this. Throws (like recommend)
-  /// if any problem has no feasible configuration.
-  std::vector<Recommendation> recommend_batch(
-      const std::vector<std::pair<int, int>>& problems,
-      Objective objective) const;
 
   /// Shortest-time question.
   Recommendation shortest_time(int o, int v) const {

@@ -45,15 +45,31 @@ void Server::set_overflow_source(std::function<std::uint64_t()> source) {
   overflow_source_ = std::move(source);
 }
 
-void Server::abandon_sweep(const SweepKey& key,
-                           std::promise<SweepResult>& promise,
-                           const std::string& why) {
+Server::SweepResult Server::compute_sweep(const ModelHandle& handle,
+                                          const SweepKey& key) {
+  SweepResult result;
+  try {
+    const guide::Advisor advisor(*handle.model, simulator(key.machine));
+    auto sweep = std::make_shared<const guide::Recommendation>(
+        advisor.recommend(key.o, key.v, guide::Objective::kShortestTime));
+    sweeps_computed_.fetch_add(1, std::memory_order_relaxed);
+    cache_.put(key, sweep);
+    result.sweep = std::move(sweep);
+  } catch (const std::exception& e) {
+    result.error = e.what();
+  } catch (...) {
+    result.error = "sweep failed with a non-standard exception";
+  }
+  return result;
+}
+
+void Server::settle_sweep(const SweepKey& key,
+                          std::promise<SweepResult>& promise,
+                          SweepResult result) {
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.erase(key);
   }
-  SweepResult result;
-  result.error = why;
   promise.set_value(std::move(result));
 }
 
@@ -105,30 +121,13 @@ SweepPtr Server::sweep_for(const std::string& machine, const std::string& kind,
     // an exception_ptr — see SweepResult for why (TSAN vs. cross-thread
     // exception_ptr release in uninstrumented libstdc++).
     auto sweep_task = [this, promise, handle, key] {
-      SweepResult result;
-      try {
-        if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
-        const guide::Advisor advisor(*handle.model, simulator(key.machine));
-        auto sweep = std::make_shared<const guide::Recommendation>(
-            advisor.recommend(key.o, key.v, guide::Objective::kShortestTime));
-        sweeps_computed_.fetch_add(1, std::memory_order_relaxed);
-        cache_.put(key, sweep);
-        result.sweep = std::move(sweep);
-      } catch (const std::exception& e) {
-        result.error = e.what();
-      } catch (...) {
-        result.error = "sweep failed with a non-standard exception";
-      }
-      {
-        const std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(key);
-      }
-      promise->set_value(std::move(result));
+      if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
+      settle_sweep(key, *promise, compute_sweep(handle, key));
     };
     try {
       sweep_pool_.post(std::move(sweep_task));
     } catch (const std::exception& e) {
-      abandon_sweep(key, *promise, e.what());
+      settle_sweep(key, *promise, SweepResult{nullptr, e.what()});
     }
   } else {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
@@ -339,9 +338,9 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
   std::vector<SweepPtr> cached;
   cache_.get_batch(keys, &cached);
 
-  // Single-flight join per cold key: keys this group leads are computed in
-  // ONE batched recommend on the sweep pool; keys already in flight
-  // elsewhere are waited on exactly like the serial path.
+  // Single-flight join per cold key: keys this group leads are swept one
+  // by one in ONE sweep-pool task; keys already in flight elsewhere are
+  // waited on exactly like the serial path.
   std::vector<std::shared_future<SweepResult>> futures(keys.size());
   std::vector<std::shared_ptr<std::promise<SweepResult>>> promises(
       keys.size());
@@ -370,65 +369,21 @@ void Server::answer_group(const std::string& machine, const std::string& kind,
       lead_keys.push_back(keys[k]);
       lead_promises.push_back(promises[k]);
     }
-    // One sweep-pool task computes every cold key the group leads with a
-    // single concatenated predict (recommend_batch), so the SIMD batch
-    // kernels see cross-request batches. If the batched compute fails —
-    // e.g. one infeasible problem — fall back to per-key sweeps so the
-    // innocent keys keep their serial-path answers.
+    // Each key settles as soon as its own sweep finishes, and a failing
+    // key (e.g. an infeasible problem) fails alone.
     auto sweep_task = [this, handle, lead_keys = std::move(lead_keys),
                        lead_promises = std::move(lead_promises)] {
       if (fault_ != nullptr) fault_->maybe_delay(FaultPoint::kSweepCompute);
-      std::vector<SweepResult> results(lead_keys.size());
-      bool batched_ok = true;
-      try {
-        const guide::Advisor advisor(*handle.model,
-                                     simulator(lead_keys.front().machine));
-        std::vector<std::pair<int, int>> problems;
-        problems.reserve(lead_keys.size());
-        for (const SweepKey& key : lead_keys) {
-          problems.emplace_back(key.o, key.v);
-        }
-        std::vector<guide::Recommendation> recs = advisor.recommend_batch(
-            problems, guide::Objective::kShortestTime);
-        for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-          results[k].sweep = std::make_shared<const guide::Recommendation>(
-              std::move(recs[k]));
-        }
-      } catch (...) {
-        batched_ok = false;
-      }
-      if (!batched_ok) {
-        for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-          try {
-            const guide::Advisor advisor(
-                *handle.model, simulator(lead_keys[k].machine));
-            results[k].sweep = std::make_shared<const guide::Recommendation>(
-                advisor.recommend(lead_keys[k].o, lead_keys[k].v,
-                                  guide::Objective::kShortestTime));
-          } catch (const std::exception& e) {
-            results[k].error = e.what();
-          } catch (...) {
-            results[k].error = "sweep failed with a non-standard exception";
-          }
-        }
-      }
       for (std::size_t k = 0; k < lead_keys.size(); ++k) {
-        if (results[k].sweep != nullptr) {
-          sweeps_computed_.fetch_add(1, std::memory_order_relaxed);
-          cache_.put(lead_keys[k], results[k].sweep);
-        }
-        {
-          const std::lock_guard<std::mutex> lock(inflight_mutex_);
-          inflight_.erase(lead_keys[k]);
-        }
-        lead_promises[k]->set_value(std::move(results[k]));
+        settle_sweep(lead_keys[k], *lead_promises[k],
+                     compute_sweep(handle, lead_keys[k]));
       }
     };
     try {
       sweep_pool_.post(std::move(sweep_task));
     } catch (const std::exception& e) {
       for (const std::size_t k : leaders) {
-        abandon_sweep(keys[k], *promises[k], e.what());
+        settle_sweep(keys[k], *promises[k], SweepResult{nullptr, e.what()});
       }
     }
   }

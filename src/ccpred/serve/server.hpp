@@ -143,8 +143,8 @@ class Server {
 
   /// Answers one (machine, kind) group of STQ/BQ/budget members inside a
   /// batch: one model handle, one cache probe per unique (O, V) key, one
-  /// single-flight sweep per cold key (all cold keys of the group share
-  /// ONE batched recommend).
+  /// single-flight sweep per cold key (the cold keys the group leads run
+  /// one after another in one sweep-pool task).
   void answer_group(const std::string& machine, const std::string& kind,
                     const std::vector<std::size_t>& members,
                     const std::vector<Request>& batch,
@@ -177,10 +177,16 @@ class Server {
                      std::uint64_t* model_version, bool* cache_hit,
                      bool* stale, bool* timed_out);
 
-  /// Fails a led sweep that the sweep pool refused (it is shutting down):
-  /// the key leaves inflight_ and its waiters get `why` as the error.
-  void abandon_sweep(const SweepKey& key, std::promise<SweepResult>& promise,
-                     const std::string& why);
+  /// Sweeps `key` on `handle`'s model and caches the result; the serial
+  /// path and the batch lane both lead cold keys through it. A failure
+  /// (e.g. no feasible configuration) comes back as the error string.
+  SweepResult compute_sweep(const ModelHandle& handle, const SweepKey& key);
+
+  /// Resolves a led sweep: the key leaves inflight_, then its waiters get
+  /// `result` (also an error when the sweep pool refused the task because
+  /// it is shutting down).
+  void settle_sweep(const SweepKey& key, std::promise<SweepResult>& promise,
+                    SweepResult result);
 
   /// Lazily-built simulator per machine (stable address for Advisor refs).
   const sim::CcsdSimulator& simulator(const std::string& machine);

@@ -5,6 +5,7 @@
 
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/model_zoo.hpp"
+#include "ccpred/data/problems.hpp"
 #include "ccpred/guidance/advisor.hpp"
 #include "ccpred/guidance/optimal.hpp"
 #include "ccpred/guidance/report.hpp"
@@ -223,38 +224,47 @@ TEST_F(AdvisorTest, InvalidProblemThrows) {
   EXPECT_THROW(advisor.shortest_time(0, 100), Error);
 }
 
-TEST_F(AdvisorTest, RecommendBatchMatchesPerProblemExactly) {
-  // The batch lane's one-predict-over-concatenated-grids path must be
-  // bit-identical to per-problem recommend() — row predictions are
-  // independent, so batching may never change an answer.
-  const Advisor advisor(*model_, simulator_);
-  const std::vector<std::pair<int, int>> problems = {
-      {44, 260}, {85, 698}, {134, 951}, {85, 698}};  // incl. a repeat
-  for (auto obj : {Objective::kShortestTime, Objective::kNodeHours}) {
-    const auto batch = advisor.recommend_batch(problems, obj);
-    ASSERT_EQ(batch.size(), problems.size());
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      const auto single =
-          advisor.recommend(problems[i].first, problems[i].second, obj);
-      EXPECT_EQ(batch[i].config.nodes, single.config.nodes) << i;
-      EXPECT_EQ(batch[i].config.tile, single.config.tile) << i;
-      EXPECT_EQ(batch[i].predicted_time_s, single.predicted_time_s) << i;
-      EXPECT_EQ(batch[i].predicted_node_hours, single.predicted_node_hours)
-          << i;
-      ASSERT_EQ(batch[i].sweep.size(), single.sweep.size()) << i;
-      for (std::size_t k = 0; k < single.sweep.size(); ++k) {
-        EXPECT_EQ(batch[i].sweep[k].predicted_time_s,
-                  single.sweep[k].predicted_time_s)
-            << i << "/" << k;
+TEST_F(AdvisorTest, SweepMatchesPredictOverMaterialisedRowsExactly) {
+  // recommend() predicts the whole node x tile menu grid in one
+  // predict_grid call. Its sweep must list exactly the feasible cells in
+  // menu order, each bit-identical to the row kernel's prediction of the
+  // materialised (O, V, nodes, tile) row — for all 42 paper problems on
+  // both machines.
+  std::vector<data::Problem> problems = data::aurora_problems();
+  const auto& frontier = data::frontier_problems();
+  problems.insert(problems.end(), frontier.begin(), frontier.end());
+  ASSERT_EQ(problems.size(), 42u);
+  for (const auto& machine :
+       {sim::MachineModel::aurora(), sim::MachineModel::frontier()}) {
+    const sim::CcsdSimulator simulator(machine);
+    const Advisor advisor(*model_, simulator);
+    for (const auto& p : problems) {
+      std::vector<sim::RunConfig> feasible;
+      for (int n : machine.node_menu()) {
+        for (int t : machine.tile_menu()) {
+          const sim::RunConfig cfg{.o = p.o, .v = p.v, .nodes = n, .tile = t};
+          if (simulator.feasible(cfg)) feasible.push_back(cfg);
+        }
+      }
+      ASSERT_FALSE(feasible.empty()) << p.o << "/" << p.v;
+      linalg::Matrix x(feasible.size(), data::kNumFeatures);
+      for (std::size_t k = 0; k < feasible.size(); ++k) {
+        x(k, data::kFeatO) = feasible[k].o;
+        x(k, data::kFeatV) = feasible[k].v;
+        x(k, data::kFeatNodes) = feasible[k].nodes;
+        x(k, data::kFeatTile) = feasible[k].tile;
+      }
+      const auto rows = model_->predict(x);
+      const auto rec = advisor.recommend(p.o, p.v, Objective::kShortestTime);
+      ASSERT_EQ(rec.sweep.size(), feasible.size()) << p.o << "/" << p.v;
+      for (std::size_t k = 0; k < feasible.size(); ++k) {
+        EXPECT_EQ(rec.sweep[k].config.nodes, feasible[k].nodes);
+        EXPECT_EQ(rec.sweep[k].config.tile, feasible[k].tile);
+        EXPECT_EQ(rec.sweep[k].predicted_time_s, rows[k])  // bitwise
+            << p.o << "/" << p.v << " cell " << k;
       }
     }
   }
-  EXPECT_TRUE(
-      advisor.recommend_batch({}, Objective::kShortestTime).empty());
-  // An infeasible problem anywhere throws, exactly like the serial path.
-  EXPECT_THROW(advisor.recommend_batch({{44, 260}, {0, 100}},
-                                       Objective::kShortestTime),
-               Error);
 }
 
 // ---------- report ----------

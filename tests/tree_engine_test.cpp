@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "ccpred/core/metrics.hpp"
 #include "ccpred/core/random_forest.hpp"
 #include "ccpred/core/serialize.hpp"
+#include "ccpred/data/problems.hpp"
+#include "ccpred/sim/machine.hpp"
 #include "test_util.hpp"
 
 namespace ccpred {
@@ -285,6 +288,230 @@ TEST(CompiledEnsembleTest, CountsMatchSourceModel) {
   for (const auto& t : gb.stages()) nodes += t.node_count();
   EXPECT_EQ(gb.compiled().tree_count(), gb.stage_count());
   EXPECT_EQ(gb.compiled().node_count(), nodes);
+}
+
+// ---------- grid prediction (predict_grid) ----------
+
+/// Every threshold `trees` split `feature` at, sorted and unique.
+std::vector<double> split_thresholds(
+    const std::vector<DecisionTreeRegressor>& trees, int feature) {
+  std::set<double> out;
+  for (const auto& tree : trees) {
+    for (const auto& node : tree.nodes()) {
+      if (node.feature == feature) out.insert(node.threshold);
+    }
+  }
+  return {out.begin(), out.end()};
+}
+
+/// The advisor's sweep grid: (o, v) fixed, node menu x tile menu.
+ml::FeatureGrid menu_grid(const sim::MachineModel& machine, double o,
+                          double v) {
+  ml::FeatureGrid grid;
+  grid.base = {o, v, 0.0, 0.0};
+  grid.col_a = data::kFeatNodes;
+  for (int n : machine.node_menu()) grid.a.push_back(n);
+  grid.col_b = data::kFeatTile;
+  for (int t : machine.tile_menu()) grid.b.push_back(t);
+  return grid;
+}
+
+/// Counts cells where predict_grid differs in any bit from the reference
+/// walk, the row kernel, or the single-row path over grid.rows().
+template <typename Model>
+std::size_t grid_mismatches(const Model& model, const ml::FeatureGrid& grid) {
+  const auto cells = model.predict_grid(grid);
+  const auto rows = grid.rows();
+  const auto walk = model.predict_walk(rows);
+  const auto batch = model.predict(rows);
+  EXPECT_EQ(cells.size(), grid.size());
+  EXPECT_EQ(walk.size(), grid.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < cells.size() && i < walk.size(); ++i) {
+    const double row = model.compiled().predict_row(rows.row_ptr(i));
+    // EXPECT_EQ on doubles is bitwise for non-NaN values, which the
+    // finite leaf sums always are.
+    if (!(cells[i] == walk[i] && cells[i] == batch[i] && cells[i] == row)) {
+      if (bad == 0) {
+        ADD_FAILURE() << "cell " << i << ": grid " << cells[i] << " walk "
+                      << walk[i] << " batch " << batch[i] << " row " << row;
+      }
+      ++bad;
+    }
+  }
+  return bad;
+}
+
+/// GB (exact and histogram splits) and RF fitted on a small CCSD
+/// campaign, shared by the grid tests.
+class PredictGrid : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const auto tt = test::small_campaign(500);
+    const linalg::Matrix x = tt.train.features();
+    const std::vector<double>& y = tt.train.targets();
+    TreeOptions exact;
+    exact.max_depth = 10;
+    gb_exact_ = new GradientBoostingRegressor(120, 0.1, exact);
+    gb_exact_->fit(x, y);
+    gb_hist_ = new GradientBoostingRegressor(120, 0.1, hist_options(255));
+    gb_hist_->fit(x, y);
+    rf_ = new RandomForestRegressor(40, {}, true, 5);
+    rf_->fit(x, y);
+  }
+  static void TearDownTestSuite() {
+    delete gb_exact_;
+    delete gb_hist_;
+    delete rf_;
+  }
+
+  /// Mismatching cells of `grid` summed over the three models.
+  static std::size_t mismatches(const ml::FeatureGrid& grid) {
+    return grid_mismatches(*gb_exact_, grid) +
+           grid_mismatches(*gb_hist_, grid) + grid_mismatches(*rf_, grid);
+  }
+
+  static GradientBoostingRegressor* gb_exact_;
+  static GradientBoostingRegressor* gb_hist_;
+  static RandomForestRegressor* rf_;
+};
+
+GradientBoostingRegressor* PredictGrid::gb_exact_ = nullptr;
+GradientBoostingRegressor* PredictGrid::gb_hist_ = nullptr;
+RandomForestRegressor* PredictGrid::rf_ = nullptr;
+
+TEST_F(PredictGrid, PaperProblemsOnBothMenusAreBitIdentical) {
+  std::vector<data::Problem> problems = data::aurora_problems();
+  const auto& frontier = data::frontier_problems();
+  problems.insert(problems.end(), frontier.begin(), frontier.end());
+  ASSERT_EQ(problems.size(), 42u);
+  for (const auto& machine :
+       {sim::MachineModel::aurora(), sim::MachineModel::frontier()}) {
+    for (const auto& p : problems) {
+      EXPECT_EQ(mismatches(menu_grid(machine, p.o, p.v)), 0u)
+          << p.o << "/" << p.v;
+    }
+  }
+}
+
+TEST_F(PredictGrid, SeededRandomProblemsInAndOutOfSupportAreBitIdentical) {
+  // The campaign spans O 44..180, V 260..951; draw half inside that box
+  // and half from a far wider one.
+  Rng rng(2025);
+  const auto machine = sim::MachineModel::aurora();
+  for (int i = 0; i < 40; ++i) {
+    const bool inside = i % 2 == 0;
+    const auto o = static_cast<double>(inside ? rng.uniform_int(44, 180)
+                                              : rng.uniform_int(1, 1000));
+    const auto v = static_cast<double>(inside ? rng.uniform_int(260, 951)
+                                              : rng.uniform_int(1, 8000));
+    EXPECT_EQ(mismatches(menu_grid(machine, o, v)), 0u) << o << "/" << v;
+  }
+}
+
+TEST_F(PredictGrid, AxisValuesOnBelowAndAboveThresholdsAreBitIdentical) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const auto* gb : {gb_exact_, gb_hist_}) {
+    const auto na = split_thresholds(gb->stages(), data::kFeatNodes);
+    const auto nt = split_thresholds(gb->stages(), data::kFeatTile);
+    ASSERT_FALSE(na.empty());
+    ASSERT_FALSE(nt.empty());
+    // Axes made of the thresholds themselves: every cut lands exactly on
+    // an axis value, which must go left (x <= threshold).
+    ml::FeatureGrid grid = menu_grid(sim::MachineModel::aurora(), 134, 951);
+    grid.a = na;
+    grid.b = nt;
+    EXPECT_EQ(mismatches(grid), 0u);
+    // Below and above every threshold, infinities included.
+    grid.a = {-kInf, na.front() - 1.0, na.back() + 1.0, kInf};
+    grid.b = {-kInf, nt.front() - 1.0, nt.back() + 1.0, kInf};
+    EXPECT_EQ(mismatches(grid), 0u);
+    // One-value axes (a single row, a single column, a single cell).
+    grid.a = {na[na.size() / 2]};
+    grid.b = nt;
+    EXPECT_EQ(mismatches(grid), 0u);
+    grid.a = na;
+    grid.b = {nt[nt.size() / 2]};
+    EXPECT_EQ(mismatches(grid), 0u);
+    grid.b = {nt.front()};
+    grid.a = {na.back()};
+    EXPECT_EQ(mismatches(grid), 0u);
+  }
+}
+
+TEST_F(PredictGrid, FixedFeaturesOnThresholdsAndNanMatchTheWalk) {
+  const auto machine = sim::MachineModel::aurora();
+  for (const auto* gb : {gb_exact_, gb_hist_}) {
+    for (const double o : split_thresholds(gb->stages(), data::kFeatO)) {
+      EXPECT_EQ(mismatches(menu_grid(machine, o, 951)), 0u) << "O=" << o;
+    }
+    for (const double v : split_thresholds(gb->stages(), data::kFeatV)) {
+      EXPECT_EQ(mismatches(menu_grid(machine, 134, v)), 0u) << "V=" << v;
+    }
+  }
+  // NaN fails every <= test and goes right at each fixed-feature split,
+  // exactly like predict_row.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(mismatches(menu_grid(machine, nan, 951)), 0u);
+  EXPECT_EQ(mismatches(menu_grid(machine, 134, nan)), 0u);
+}
+
+TEST(PredictGridTest, ResplitsOutsideTheAncestorRangeMatchTheWalk) {
+  // A fitted tree only re-splits an axis inside the range its ancestors
+  // left, but a loaded artifact may not: here the left side of nodes <= 100
+  // splits again at 300 (every cell left) and the right side at 50 (every
+  // cell right), so both whole-axis cuts must clamp into the rectangle.
+  using ml::TreeNode;
+  const auto leaf = [](double v) { return TreeNode{-1, 0.0, v, -1, -1}; };
+  std::vector<TreeNode> nodes = {
+      TreeNode{data::kFeatNodes, 100.0, 0.0, 1, 2},
+      TreeNode{data::kFeatNodes, 300.0, 0.0, 3, 4},
+      TreeNode{data::kFeatNodes, 50.0, 0.0, 5, 6},
+      TreeNode{data::kFeatTile, 90.0, 0.0, 7, 8},
+      leaf(4.0),
+      leaf(5.0),
+      TreeNode{data::kFeatO, 134.0, 0.0, 9, 10},
+      leaf(7.0),
+      leaf(8.0),
+      leaf(9.0),
+      leaf(10.0)};
+  std::vector<DecisionTreeRegressor> stages;
+  stages.push_back(
+      DecisionTreeRegressor::from_parts({}, nodes, std::vector<double>(4)));
+  stages.push_back(DecisionTreeRegressor::from_parts(
+      {}, {leaf(0.25)}, std::vector<double>(4)));
+  const auto gb = GradientBoostingRegressor::from_parts(0.5, 1.0, stages);
+  for (const double o : {100.0, 134.0, 200.0}) {
+    EXPECT_EQ(grid_mismatches(gb, menu_grid(sim::MachineModel::aurora(), o,
+                                            951)),
+              0u)
+        << "O=" << o;
+  }
+}
+
+TEST_F(PredictGrid, MalformedAxesAreRejectedOnEveryPath) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto good = menu_grid(sim::MachineModel::aurora(), 134, 951);
+  std::vector<ml::FeatureGrid> bad(6, good);
+  bad[0].a = {10, 5, 20};      // unsorted
+  bad[1].b = {40, 50, 50, 60};  // duplicated
+  bad[2].a = {5, nan, 20};     // NaN
+  bad[3].b = {nan};            // lone NaN
+  bad[4].col_b = bad[4].col_a;  // one column twice
+  bad[5].col_a = 4;            // past the row
+  // The default materialising path (a single tree) checks the same grids.
+  DecisionTreeRegressor tree;
+  tree.fit(good.rows(), gb_hist_->predict(good.rows()));
+  const ml::Regressor& base_path = tree;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(gb_hist_->predict_grid(bad[i]), Error) << i;
+    EXPECT_THROW(rf_->predict_grid(bad[i]), Error) << i;
+    EXPECT_THROW(base_path.predict_grid(bad[i]), Error) << i;
+  }
+  const auto cells = base_path.predict_grid(good);
+  const auto rows = tree.predict(good.rows());
+  ASSERT_EQ(cells.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(cells[i], rows[i]);
 }
 
 // ---------- parallel search determinism ----------
