@@ -119,8 +119,8 @@ int main() {
 
   // ---- advisor sweep: grid descent vs row kernel ----
   // Each paper problem's full node x tile menu grid, as Advisor::recommend
-  // predicts it. The row path materialises the grid's rows (as the advisor
-  // did before predict_grid) and runs the batch kernel over them.
+  // predicts it. The row path materialises the grid's rows and runs the
+  // batch kernel over them.
   std::vector<ml::FeatureGrid> grids;
   const sim::MachineModel menus = sim::MachineModel::aurora();
   for (const auto* problems :
