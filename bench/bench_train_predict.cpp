@@ -16,25 +16,34 @@
 ///     doubled the histogram engine; the structural gains are dispatch-
 ///     mode-independent, so a CCPRED_SIMD=scalar run passes the same bar)
 ///   - batch predict: compiled >= 5x faster than walk, bit-identical
+///     (walk and compiled reps alternate, so host drift between two
+///     back-to-back timing phases cannot land on one side of the ratio)
 ///   - advisor sweep: predict_grid over the node x tile menu grids of the
 ///     42 paper problems >= 1.8x faster than the row kernel over the same
 ///     materialised rows, bit-identical (a structural gain, so it holds
 ///     under CCPRED_SIMD=scalar too)
 ///   - bin-code assignment: AVX2 table >= 2x the scalar table with
 ///     bit-identical codes (gated only when the host has AVX2+FMA)
+///   - model load: deserialize_gb of a 750-stage artifact (the daemon's
+///     served size) >= 3x faster than the istream reference reader below,
+///     and both readers' models re-serialize to the artifact's bytes
 
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ccpred/common/error.hpp"
 #include "ccpred/common/stopwatch.hpp"
 #include "ccpred/common/table.hpp"
 #include "ccpred/common/thread_pool.hpp"
 #include "ccpred/core/decision_tree.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/random_forest.hpp"
+#include "ccpred/core/serialize.hpp"
 #include "ccpred/data/problems.hpp"
 #include "ccpred/sim/machine.hpp"
 #include "ccpred/simd/simd.hpp"
@@ -52,6 +61,63 @@ double best_time_s(int reps, Fn&& fn) {
     best = std::min(best, watch.elapsed_s());
   }
   return best;
+}
+
+/// Best-of-`reps` wall times for `fa` and `fb`, timed alternately within
+/// each rep so slow drift on the host lands on both sides of their ratio.
+template <typename FnA, typename FnB>
+std::pair<double, double> best_times_interleaved_s(int reps, FnA&& fa,
+                                                   FnB&& fb) {
+  std::pair<double, double> best{1e300, 1e300};
+  for (int r = 0; r < reps; ++r) {
+    best.first = std::min(best.first, best_time_s(1, fa));
+    best.second = std::min(best.second, best_time_s(1, fb));
+  }
+  return best;
+}
+
+/// The istream reader that shipped before the from_chars tokenizer: the
+/// oracle for the load row. Same tokens and checks, extracted with
+/// operator>> from an istringstream copy of the text.
+ccpred::ml::DecisionTreeRegressor istream_read_tree(std::istream& in) {
+  std::size_t n_nodes = 0;
+  std::size_t n_features = 0;
+  if (!(in >> n_nodes >> n_features) || n_nodes < 1) {
+    throw ccpred::Error("tree body: missing size line");
+  }
+  std::vector<ccpred::ml::TreeNode> nodes(n_nodes);
+  for (auto& node : nodes) {
+    if (!(in >> node.feature >> node.threshold >> node.value >> node.left >>
+          node.right)) {
+      throw ccpred::Error("tree body: truncated node record");
+    }
+  }
+  std::vector<double> importance(n_features);
+  for (auto& v : importance) {
+    if (!(in >> v)) throw ccpred::Error("tree body: truncated importance");
+  }
+  return ccpred::ml::DecisionTreeRegressor::from_parts(
+      {}, std::move(nodes), std::move(importance));
+}
+
+ccpred::ml::GradientBoostingRegressor istream_deserialize_gb(
+    const std::string& text) {
+  std::istringstream in(text);
+  std::string header;
+  std::size_t n_stages = 0;
+  double learning_rate = 0.0;
+  double base = 0.0;
+  if (!(in >> header >> n_stages >> learning_rate >> base) ||
+      header != "ccpred-gb-v1" || n_stages < 1) {
+    throw ccpred::Error("not a ccpred GB model file");
+  }
+  std::vector<ccpred::ml::DecisionTreeRegressor> stages;
+  stages.reserve(n_stages);
+  for (std::size_t s = 0; s < n_stages; ++s) {
+    stages.push_back(istream_read_tree(in));
+  }
+  return ccpred::ml::GradientBoostingRegressor::from_parts(
+      learning_rate, base, std::move(stages));
 }
 
 }  // namespace
@@ -100,10 +166,12 @@ int main() {
 
   // ---- inference: compiled SoA batch vs per-row tree walk ----
   // A sweep-shaped query batch: every campaign row is a (O, V, nodes, tile)
-  // point, just like the advisor's enumerate-and-predict sweep.
-  const int predict_reps = fast ? 5 : 10;
-  const double walk_s = best_time_s(predict_reps, [&] { gb_hist.predict_walk(x); });
-  const double compiled_s = best_time_s(predict_reps, [&] { gb_hist.predict(x); });
+  // point, just like the advisor's enumerate-and-predict sweep. One rep is
+  // a few ms, so fast mode keeps the full rep count.
+  const int predict_reps = 20;
+  const auto [walk_s, compiled_s] = best_times_interleaved_s(
+      predict_reps, [&] { gb_hist.predict_walk(x); },
+      [&] { gb_hist.predict(x); });
   const double predict_speedup = walk_s / compiled_s;
 
   const auto walk_out = gb_hist.predict_walk(x);
@@ -113,8 +181,9 @@ int main() {
     bit_identical = walk_out[i] == compiled_out[i];
   }
 
-  const double rf_walk_s = best_time_s(predict_reps, [&] { rf_hist.predict_walk(x); });
-  const double rf_compiled_s = best_time_s(predict_reps, [&] { rf_hist.predict(x); });
+  const auto [rf_walk_s, rf_compiled_s] = best_times_interleaved_s(
+      predict_reps, [&] { rf_hist.predict_walk(x); },
+      [&] { rf_hist.predict(x); });
   const double rf_predict_speedup = rf_walk_s / rf_compiled_s;
 
   // ---- advisor sweep: grid descent vs row kernel ----
@@ -186,6 +255,23 @@ int main() {
                   codes_scalar.size() * sizeof(std::uint16_t)) == 0;
   const bool codes_gated = simd::avx2_available();
 
+  // ---- model load: from_chars tokenizer vs istream reference ----
+  // A 750-stage artifact, the daemon's served size (RegistryOptions::
+  // gb_estimators). Both sides parse the same in-memory text and compile
+  // the model; reading the file is not timed.
+  const int load_stages = 750;
+  ml::GradientBoostingRegressor gb_load(load_stages, 0.1, hist_opt);
+  gb_load.fit(x, y);
+  const std::string artifact = ml::serialize_gb(gb_load);
+  const int load_reps = fast ? 3 : 5;
+  const auto [load_istream_s, load_fast_s] = best_times_interleaved_s(
+      load_reps, [&] { istream_deserialize_gb(artifact); },
+      [&] { ml::deserialize_gb(artifact); });
+  const double load_speedup = load_istream_s / load_fast_s;
+  const bool load_identical =
+      ml::serialize_gb(ml::deserialize_gb(artifact)) == artifact &&
+      ml::serialize_gb(istream_deserialize_gb(artifact)) == artifact;
+
   TextTable table({"model", "path", "seconds", "speedup"},
                   "Histogram training and compiled inference");
   table.add_row({"GB fit", "exact", TextTable::cell(gb_exact_s, 3), "1.0x"});
@@ -209,6 +295,11 @@ int main() {
                  "1.0x"});
   table.add_row({"bin codes", "avx2", TextTable::cell(codes_avx2_s, 6),
                  TextTable::cell(codes_speedup, 1) + "x"});
+  const std::string load_row = "GB load x" + std::to_string(load_stages);
+  table.add_row({load_row, "istream", TextTable::cell(load_istream_s, 4),
+                 "1.0x"});
+  table.add_row({load_row, "from_chars", TextTable::cell(load_fast_s, 4),
+                 TextTable::cell(load_speedup, 1) + "x"});
   table.print();
 
   const bool gb_fit_ok = gb_fit_speedup >= 10.0;
@@ -217,21 +308,26 @@ int main() {
   const bool sweep_ok = sweep_speedup >= 1.8 && sweep_identical;
   const bool codes_ok =
       !codes_gated || (codes_speedup >= 2.0 && codes_identical);
+  const bool load_ok = load_speedup >= 3.0 && load_identical;
   const bool all_ok = gb_fit_ok && rf_fit_ok && predict_ok && bit_identical &&
-                      sweep_ok && codes_ok;
+                      sweep_ok && codes_ok && load_ok;
   std::printf(
       "\nbit-identical compiled vs walk: %s\n"
       "GB fit speedup %.1fx (target >= 10x): %s\n"
       "RF fit speedup %.1fx (target >= 10x): %s\n"
       "GB batch-predict speedup %.1fx (target >= 5x): %s\n"
       "GB grid-sweep speedup %.1fx, bit-identical %s (target >= 1.8x): %s\n"
-      "bin-codes avx2 vs scalar %.1fx, identical %s (target >= 2x): %s\n",
+      "bin-codes avx2 vs scalar %.1fx, identical %s (target >= 2x): %s\n"
+      "GB load speedup %.1fx over %zu bytes, byte-identical %s "
+      "(target >= 3x): %s\n",
       bit_identical ? "yes" : "NO", gb_fit_speedup,
       gb_fit_ok ? "PASS" : "FAIL", rf_fit_speedup, rf_fit_ok ? "PASS" : "FAIL",
       predict_speedup, predict_ok ? "PASS" : "FAIL", sweep_speedup,
       sweep_identical ? "yes" : "NO", sweep_ok ? "PASS" : "FAIL", codes_speedup,
       codes_identical ? "yes" : "NO",
-      codes_gated ? (codes_ok ? "PASS" : "FAIL") : "not gated (no AVX2)");
+      codes_gated ? (codes_ok ? "PASS" : "FAIL") : "not gated (no AVX2)",
+      load_speedup, artifact.size(), load_identical ? "yes" : "NO",
+      load_ok ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen("BENCH_tree_engine.json", "w");
   if (json != nullptr) {
@@ -255,6 +351,8 @@ int main() {
         "\"sweep_bit_identical\": %s},\n"
         "  \"bin_codes\": {\"scalar_s\": %.6f, \"avx2_s\": %.6f, "
         "\"speedup\": %.3f, \"identical\": %s, \"gated\": %s},\n"
+        "  \"load\": {\"stages\": %d, \"bytes\": %zu, \"istream_s\": %.6f, "
+        "\"from_chars_s\": %.6f, \"speedup\": %.3f, \"identical\": %s},\n"
         "  \"provenance\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
@@ -265,8 +363,9 @@ int main() {
         sweep_row_s, sweep_grid_s, sweep_speedup,
         sweep_identical ? "true" : "false", codes_scalar_s,
         codes_avx2_s, codes_speedup, codes_identical ? "true" : "false",
-        codes_gated ? "true" : "false",
-        bench::provenance_json().c_str(),
+        codes_gated ? "true" : "false", load_stages, artifact.size(),
+        load_istream_s, load_fast_s, load_speedup,
+        load_identical ? "true" : "false", bench::provenance_json().c_str(),
         all_ok ? "true" : "false");
     std::fclose(json);
     std::printf("\nwrote BENCH_tree_engine.json\n");

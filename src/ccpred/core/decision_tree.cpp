@@ -729,13 +729,34 @@ DecisionTreeRegressor DecisionTreeRegressor::from_parts(
     TreeOptions options, std::vector<TreeNode> nodes,
     std::vector<double> raw_importance) {
   CCPRED_CHECK_MSG(!nodes.empty(), "a fitted tree needs at least one node");
+  // Loaded tables come from files, so prove the invariants that prediction
+  // and compilation rely on: children in range, every node but the root
+  // with exactly one parent (a cycle or a shared child would send the
+  // descent and the compiler's BFS round forever), split features inside
+  // the row, and finite split and leaf values.
+  const auto n = static_cast<int>(nodes.size());
+  const auto n_features = static_cast<int>(raw_importance.size());
+  std::vector<std::uint8_t> parents(nodes.size(), 0);
   for (const auto& node : nodes) {
+    CCPRED_CHECK_MSG(std::isfinite(node.threshold) && std::isfinite(node.value),
+                     "tree node holds a non-finite threshold or value");
     if (node.is_leaf()) continue;
-    CCPRED_CHECK_MSG(node.left >= 0 &&
-                         node.left < static_cast<int>(nodes.size()) &&
-                         node.right >= 0 &&
-                         node.right < static_cast<int>(nodes.size()),
+    CCPRED_CHECK_MSG(node.left >= 0 && node.left < n && node.right >= 0 &&
+                         node.right < n,
                      "tree child index out of range");
+    CCPRED_CHECK_MSG(raw_importance.empty() || node.feature < n_features,
+                     "tree split feature " << node.feature
+                                           << " out of range for "
+                                           << n_features << " features");
+    for (const int child : {node.left, node.right}) {
+      CCPRED_CHECK_MSG(child != 0 && ++parents[child] == 1,
+                       "tree node table is not a tree: node "
+                           << child << " has more than one parent");
+    }
+  }
+  for (int i = 1; i < n; ++i) {
+    CCPRED_CHECK_MSG(parents[i] == 1, "tree node table is not a tree: node "
+                                          << i << " has no parent");
   }
   DecisionTreeRegressor tree(options);
   tree.nodes_ = std::move(nodes);

@@ -8,9 +8,13 @@
 ///
 /// Format: line-oriented ASCII with full double precision. Versioned
 /// header; loaders validate structure and throw ccpred::Error on
-/// malformed input.
+/// malformed input. Readers tokenize the text in place with
+/// std::from_chars: tokens are separated by any C-locale whitespace
+/// (spaces, tabs, CR/LF line ends) and a number must end at whitespace or
+/// at the end of the text.
 
 #include <string>
+#include <string_view>
 
 #include "ccpred/core/decision_tree.hpp"
 #include "ccpred/core/gradient_boosting.hpp"
@@ -22,7 +26,7 @@ namespace ccpred::ml {
 std::string serialize_tree(const DecisionTreeRegressor& tree);
 
 /// Restores a tree from serialize_tree output.
-DecisionTreeRegressor deserialize_tree(const std::string& text);
+DecisionTreeRegressor deserialize_tree(std::string_view text);
 
 /// Serializes a fitted gradient-boosting model (all stages + the
 /// hyper-parameters needed to predict).
@@ -30,7 +34,11 @@ std::string serialize_gb(const GradientBoostingRegressor& model);
 
 /// Restores a GB model from serialize_gb output; the result predicts
 /// bit-identically to the original.
-GradientBoostingRegressor deserialize_gb(const std::string& text);
+GradientBoostingRegressor deserialize_gb(std::string_view text);
+
+/// Reads a whole model file with one sized read, so a caller can hash and
+/// parse the same bytes. Throws ccpred::Error if the file cannot be read.
+std::string read_model_file(const std::string& path);
 
 /// Convenience: write/read a GB model file.
 void save_gb(const GradientBoostingRegressor& model, const std::string& path);
@@ -42,7 +50,7 @@ std::string serialize_rf(const RandomForestRegressor& model);
 
 /// Restores a forest from serialize_rf output; the result predicts
 /// bit-identically to the original.
-RandomForestRegressor deserialize_rf(const std::string& text);
+RandomForestRegressor deserialize_rf(std::string_view text);
 
 /// Convenience: write/read an RF model file.
 void save_rf(const RandomForestRegressor& model, const std::string& path);

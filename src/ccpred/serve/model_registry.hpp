@@ -122,17 +122,31 @@ class ModelRegistry {
     std::uint64_t loaded_gen = 0;      ///< published_gen_ seen at load
   };
 
-  /// Loads the artifact at `path` into a fresh handle (caller holds lock).
-  /// Every load attempt hashes the bytes first via hash_artifact_locked()
-  /// — which is where the fault injector is consulted — so this only
-  /// parses.
-  ModelHandle load_locked(const std::string& machine, const std::string& kind,
-                          const std::string& path);
+  /// One read of an artifact: its bytes and their FNV-1a hash.
+  struct Artifact {
+    std::string bytes;
+    std::uint64_t hash = 0;
+  };
 
-  /// Hashes the artifact bytes. Consults the kArtifactRead injection point
-  /// (one arrival per reload attempt) and throws on a fired fault or an
-  /// unreadable file — the caller's degraded path handles both the same.
-  std::uint64_t hash_artifact_locked(const std::string& path) const;
+  /// Reads the artifact at `path` once and hashes those bytes (caller holds
+  /// the lock). Consults the kArtifactRead injection point — one arrival
+  /// per load attempt — and throws on a fired fault or an unreadable file;
+  /// the caller's degraded path handles both the same.
+  Artifact read_artifact_locked(const std::string& path) const;
+
+  /// Parses `artifact` (read from `path`) into a fresh entry with the next
+  /// version (caller holds the lock).
+  Entry load_locked(const std::string& machine, const std::string& kind,
+                    const std::string& path, const Artifact& artifact,
+                    std::int64_t mtime_ns, std::uint64_t gen);
+
+  /// First load of (machine, kind) into entries_[key]: read, hash, parse.
+  /// A failure counts in reload_failures_ and rethrows (caller holds the
+  /// lock).
+  ModelHandle first_load_locked(const std::string& machine,
+                                const std::string& kind,
+                                const std::string& key,
+                                const std::string& path);
 
   std::uint64_t published_gen_locked(const std::string& key) const;
 

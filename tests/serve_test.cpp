@@ -256,6 +256,34 @@ TEST(ModelRegistryTest, HotReloadsOnArtifactChange) {
   EXPECT_TRUE(first.model->is_fitted());
 }
 
+TEST(ModelRegistryTest, CyclicRepublishFailsReloadAndServesLastGood) {
+  const auto dir = test::scratch_dir("registry_cyclic");
+  ModelRegistry registry(dir);
+  const auto path = registry.artifact_path("aurora", "gb");
+  ml::save_gb(campaign_gb(10), path);
+  const auto good = registry.get("aurora", "gb");
+  ASSERT_EQ(good.version, 1u);
+
+  // A GB artifact whose one tree's node 2 points back at the root: loading
+  // it must fail fast, not grow the compiler's BFS until memory runs out.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "ccpred-gb-v1\n1 0.1 0.5\n3 4\n"
+        << "0 0.5 1 1 2\n-1 0 1.5 -1 -1\n1 0.5 2.5 0 1\n0.25 0.25 0.25 0.25\n";
+  }
+  fs::last_write_time(path,
+                      fs::last_write_time(path) + std::chrono::seconds(2));
+  const auto stale = registry.get("aurora", "gb");
+  EXPECT_TRUE(stale.stale);
+  EXPECT_EQ(stale.version, good.version);
+  EXPECT_EQ(stale.model, good.model);
+  EXPECT_EQ(registry.reload_failures(), 1u);
+  EXPECT_EQ(registry.loads(), 1u);
+  // The failed publish is memoised: no second attempt until it changes.
+  EXPECT_TRUE(registry.get("aurora", "gb").stale);
+  EXPECT_EQ(registry.reload_failures(), 1u);
+}
+
 TEST(ModelRegistryTest, TrainsAndCachesWhenArtifactMissing) {
   const auto dir = test::scratch_dir("registry_train");
   RegistryOptions opt;
