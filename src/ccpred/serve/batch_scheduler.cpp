@@ -55,12 +55,14 @@ void BatchScheduler::submit(Request request,
     record_dispatch(1);
     ++inflight_;
     lock.unlock();
-    dispatch_one(std::move(p));
+    std::deque<Pending> alone;
+    alone.push_back(std::move(p));
+    dispatch(std::move(alone));
     return;
   }
   if (server_.options_.max_queue_depth > 0 &&
       pending_.size() >= server_.options_.max_queue_depth) {
-    // Same admission bound the serial path enforces through try_post.
+    // Same admission bound the unbatched route enforces through try_post.
     lock.unlock();
     server_.shed_.fetch_add(1, std::memory_order_relaxed);
     p.done(error_response(
@@ -142,34 +144,13 @@ void BatchScheduler::flush_locked() {
   }
   record_dispatch(batch.size());
   ++inflight_;
-  if (batch.size() == 1) {
-    dispatch_one(std::move(batch.front()));
-  } else {
-    dispatch(std::move(batch));
-  }
-}
-
-void BatchScheduler::dispatch_one(Pending p) {
-  // Size-1 dispatch (bypass or a one-deep flush): post the request
-  // directly — no batch deque, no shared_ptr — so a lone request pays the
-  // same allocations as unbatched submit_with. The serial path gives the
-  // same answer without the grouping machinery. Same `this`-lifetime rule
-  // as dispatch(): nothing after on_batch_done touches the scheduler.
-  Server* srv = &server_;
-  server_.pool_.post([this, srv, p = std::move(p)]() mutable {
-    if (srv->fault_ != nullptr) {
-      srv->fault_->maybe_delay(FaultPoint::kWorkerStall);
-    }
-    Response r = srv->handle_until(p.request, p.deadline);
-    on_batch_done();
-    p.done(std::move(r));
-    srv->queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-  });
+  dispatch(std::move(batch));
 }
 
 void BatchScheduler::dispatch(std::deque<Pending> batch) {
   // ONE pool hand-off for the whole flush — the per-request hand-off this
-  // layer exists to amortize.
+  // layer exists to amortize. A bypass or one-deep flush is a batch of
+  // one through the same path.
   //
   // The slot is freed (on_batch_done) as soon as the answers are computed,
   // BEFORE completions are delivered: a closed-loop client's next request

@@ -31,10 +31,12 @@
 ///    tightest deadlines board first. A deadline can still expire under
 ///    true overload, but never because of batch hold.
 ///
-/// Answers are bit-identical to per-request dispatch: handle_batch groups
-/// by (machine, kind), acquires one model handle per group, dedups
-/// identical (O, V) keys into the same single-flight sweeps the serial
-/// path uses, and derives STQ/BQ/budget answers with the same code.
+/// Every flush, a lone bypass included, is answered by
+/// Server::handle_batch — the server's one answer path, which handle()
+/// also takes as a batch of one — so answers are bit-identical to
+/// per-request dispatch. Batching only changes how much work the members
+/// share: one model handle per (machine, kind) group, one cache probe and
+/// one single-flight sweep per unique (O, V) key.
 
 #include <atomic>
 #include <chrono>
@@ -53,9 +55,9 @@ namespace ccpred::serve {
 
 class Server;
 
-/// Scheduler knobs (ServeOptions::batch). Disabled by default: the serial
-/// path's exact shed/counter semantics stay the baseline, and serverd /
-/// benches opt in explicitly.
+/// Scheduler knobs (ServeOptions::batch). Disabled by default, so a
+/// library Server admits each submit as its own pool task; serverd and
+/// the benches opt in explicitly.
 struct BatchOptions {
   bool enabled = false;
   std::size_t max_batch = 64;     ///< flush size cap per dispatch
@@ -110,8 +112,8 @@ class BatchScheduler {
   /// mutex_ with pending_ non-empty.
   void flush_locked();
 
-  void dispatch(std::deque<Pending> batch);  ///< size >= 2
-  void dispatch_one(Pending p);              ///< bypass / one-deep flush
+  /// Posts one flush (any size, a bypass included) to the worker pool.
+  void dispatch(std::deque<Pending> batch);
   void on_batch_done();
   void record_dispatch(std::size_t size);
 

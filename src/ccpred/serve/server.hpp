@@ -20,6 +20,11 @@
 ///    and a failed model hot-reload degrades to stale answers rather
 ///    than errors.
 ///
+/// Every entry point — handle(), submit(), submit_with(),
+/// submit_batch_with(), dispatch_batch() and the BatchScheduler's flushes
+/// — answers through one path, handle_batch(): a lone request is a batch
+/// of one, so an answer's semantics and its accounting live in one place.
+///
 /// Sweeps run on a dedicated sweep pool, not the request worker pool, so
 /// a request thread can abandon a slow sweep at its deadline without
 /// orphaning the computation — and waiting requests can never deadlock
@@ -36,12 +41,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "ccpred/common/latency_histogram.hpp"
-#include "ccpred/common/stopwatch.hpp"
 #include "ccpred/common/thread_pool.hpp"
 #include "ccpred/serve/batch_scheduler.hpp"
 #include "ccpred/serve/fault_injector.hpp"
@@ -67,8 +72,9 @@ struct ServeOptions {
   online::OnlineOptions online;
   /// Dynamic micro-batching across connections (see batch_scheduler.hpp).
   /// When enabled, submit()/submit_with()/submit_batch_with() route
-  /// through the BatchScheduler; handle() stays serial. Answers are
-  /// bit-identical either way.
+  /// through the BatchScheduler, which coalesces concurrent requests into
+  /// shared batches; handle() and dispatch_batch() answer at once. Both
+  /// routes end in the same batch path, so answers are bit-identical.
   BatchOptions batch;
 };
 
@@ -77,8 +83,8 @@ class Server {
  public:
   explicit Server(ModelRegistry& registry, ServeOptions options = {});
 
-  /// Handles one request synchronously. Thread-safe; never throws —
-  /// failures come back as ok=false responses.
+  /// Handles one request synchronously, as a batch of one. Thread-safe;
+  /// never throws — failures come back as ok=false responses.
   Response handle(const Request& request);
 
   /// Enqueues a request onto the worker pool. When `max_queue_depth` is
@@ -94,17 +100,16 @@ class Server {
   void submit_with(Request request, std::function<void(Response)> done);
 
   /// One pool task for a whole wire frame: the batch is admitted (or shed)
-  /// as a unit and handled sequentially on one worker, so a 16-request
-  /// frame pays the queue hand-off once instead of 16 times. Deadlines
-  /// still apply per request.
+  /// as a unit and answered as one batch on one worker, so a 16-request
+  /// frame pays the queue hand-off once instead of 16 times. With the
+  /// BatchScheduler enabled, each record joins the scheduler instead and
+  /// `done` runs once the last one answers. Deadlines apply per request.
   void submit_batch_with(std::vector<Request> batch,
                          std::function<void(std::vector<Response>)> done);
 
-  /// Handles a whole batch synchronously through the grouped batch lane:
-  /// members are grouped by (machine, kind, verb), each group acquires its
-  /// model handle once, batch-probes the sweep cache, and dedups identical
-  /// (O, V) keys into one single-flight sweep. Answers are bit-identical
-  /// to calling handle() per request. Deadline clocks start here.
+  /// Handles a whole batch synchronously (see handle_batch). Answers are
+  /// bit-identical to calling handle() per request. Deadline clocks start
+  /// here.
   std::vector<Response> dispatch_batch(const std::vector<Request>& batch);
 
   /// Point-in-time statistics snapshot.
@@ -130,26 +135,26 @@ class Server {
 
   using Clock = std::chrono::steady_clock;
 
-  /// handle() with an absolute deadline (Clock::time_point::max() = none).
-  Response handle_until(const Request& request, Clock::time_point deadline);
-
-  Response dispatch(const Request& request, Clock::time_point deadline);
-
-  /// dispatch_batch() with per-request absolute deadlines: the batch lane
-  /// shared by dispatch_batch and the BatchScheduler's flushes.
+  /// The one answer path, behind every entry point: dispatch_batch() with
+  /// per-request absolute deadlines (Clock::time_point::max() = none).
+  /// Owns the per-request accounting (requests, errors, deadline expiry
+  /// before dispatch, latency) for every verb. STQ/BQ/budget members are
+  /// grouped by (machine, kind): each group acquires its model handle
+  /// once, probes the sweep cache once per unique (O, V) key and joins
+  /// one single-flight sweep per cold key.
   std::vector<Response> handle_batch(
-      const std::vector<Request>& batch,
-      const std::vector<Clock::time_point>& deadlines);
+      std::span<const Request> batch,
+      std::span<const Clock::time_point> deadlines);
 
-  /// Answers one (machine, kind) group of STQ/BQ/budget members inside a
-  /// batch: one model handle, one cache probe per unique (O, V) key, one
-  /// single-flight sweep per cold key (the cold keys the group leads run
-  /// one after another in one sweep-pool task).
-  void answer_group(const std::string& machine, const std::string& kind,
-                    const std::vector<std::size_t>& members,
-                    const std::vector<Request>& batch,
-                    const std::vector<Clock::time_point>& deadlines,
-                    const Stopwatch& timer, std::vector<Response>* out);
+  /// Answers one stats, job or report request (the verbs with no work to
+  /// share across a batch). Throws on failure.
+  Response answer_one(const Request& request);
+
+  /// Admits a whole frame as one worker-pool task that runs handle_batch,
+  /// or sheds every record with code="overloaded" once max_queue_depth
+  /// is reached: the unbatched route of submit_with/submit_batch_with.
+  void admit_frame(std::vector<Request> batch,
+                   std::function<void(std::vector<Response>)> done);
 
   /// Absolute deadline for a request whose clock starts now.
   static Clock::time_point deadline_for(const Request& request) {
@@ -168,18 +173,9 @@ class Server {
     std::string error;  ///< why, when sweep is null
   };
 
-  /// The sweep for (machine, kind, o, v): cache -> in-flight future ->
-  /// compute on the sweep pool. Sets `cache_hit` and `stale`; returns the
-  /// model version used. On deadline expiry sets `timed_out` and returns
-  /// nullptr — the sweep keeps running and populates the cache.
-  SweepPtr sweep_for(const std::string& machine, const std::string& kind,
-                     int o, int v, Clock::time_point deadline,
-                     std::uint64_t* model_version, bool* cache_hit,
-                     bool* stale, bool* timed_out);
-
-  /// Sweeps `key` on `handle`'s model and caches the result; the serial
-  /// path and the batch lane both lead cold keys through it. A failure
-  /// (e.g. no feasible configuration) comes back as the error string.
+  /// Sweeps `key` on `handle`'s model and caches the result; every cold
+  /// key a batch leads runs through it. A failure (e.g. no feasible
+  /// configuration) comes back as the error string.
   SweepResult compute_sweep(const ModelHandle& handle, const SweepKey& key);
 
   /// Resolves a led sweep: the key leaves inflight_, then its waiters get

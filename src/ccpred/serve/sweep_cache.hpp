@@ -64,11 +64,6 @@ class SweepCache {
   /// Returns the cached sweep or nullptr; refreshes LRU recency on hit.
   SweepPtr get(const SweepKey& key);
 
-  /// Batch probe for the serving layer's batch lane: one get() per key,
-  /// results aligned with `keys` (nullptr on miss). Returns the hit count.
-  std::size_t get_batch(const std::vector<SweepKey>& keys,
-                        std::vector<SweepPtr>* out);
-
   /// Inserts (or refreshes) a sweep.
   void put(const SweepKey& key, SweepPtr sweep);
 

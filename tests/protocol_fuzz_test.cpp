@@ -82,7 +82,9 @@ TEST(ProtocolFuzzTest, TruncationsOfValidLinesNeverEscape) {
       SCOPED_TRACE("iteration " + std::to_string(i) + " cut " +
                    std::to_string(cut));
       const bool parsed = survives_boundary(line.substr(0, cut));
-      if (cut == line.size()) EXPECT_TRUE(parsed);
+      if (cut == line.size()) {
+        EXPECT_TRUE(parsed);
+      }
     }
   }
 }

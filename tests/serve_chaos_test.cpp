@@ -609,7 +609,9 @@ void run_shard_chaos_at_seed(std::uint64_t seed) {
   // re-run (more kills may fire), which is the point — failover and
   // rejoin must be invisible in the values.
   for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    if (!fleet.alive(i)) EXPECT_TRUE(fleet.restart_shard(i));
+    if (!fleet.alive(i)) {
+      EXPECT_TRUE(fleet.restart_shard(i));
+    }
   }
   EXPECT_EQ(fleet.counters().alive, 3u);
 
@@ -791,7 +793,7 @@ void run_batch_storm_at_seed(std::uint64_t seed) {
           scheduled.fetch_add(1, std::memory_order_relaxed);
           responses[static_cast<std::size_t>(i)] = future.get();
         } else {
-          // Unbatched client on the serial path, concurrently.
+          // Unbatched client through handle(), concurrently.
           responses[static_cast<std::size_t>(i)] = f.server->handle(req);
         }
       }

@@ -379,6 +379,84 @@ TEST(ServerTest, MatchesInProcessAdvisorExactly) {
   }
 }
 
+/// The answer `req` must get, computed without the server: a fresh
+/// Advisor sweep of the registry's current model, picked with the
+/// advisor's own scans (STQ, BQ, budget), or the simulator's estimate
+/// (job). Throws where the server must answer ok=false. The observability
+/// fields cache_hit and stale keep their defaults.
+Response reference_answer(const Request& req, ModelRegistry& registry) {
+  const std::string machine = req.machine.empty() ? "aurora" : req.machine;
+  const sim::CcsdSimulator simulator = simulator_for(machine);
+  Response r;
+  r.ok = true;
+  r.op = op_name(req.op);
+  r.id = req.id;
+  if (req.op == Op::kJob) {
+    const auto job = sim::estimate_job(
+        simulator,
+        sim::RunConfig{.o = req.o, .v = req.v, .nodes = req.nodes,
+                       .tile = req.tile});
+    r.has_job = true;
+    r.iterations = job.iterations;
+    r.setup_s = job.setup_s;
+    r.iteration_s = job.iteration_s;
+    r.total_s = job.total_s;
+    r.node_hours = job.node_hours;
+    return r;
+  }
+  const ModelHandle handle =
+      registry.get(machine, req.model.empty() ? "gb" : req.model);
+  const guide::Advisor advisor(*handle.model, simulator);
+  const guide::Recommendation sweep =
+      advisor.recommend(req.o, req.v, guide::Objective::kShortestTime);
+  guide::SweepPoint pick;
+  switch (req.op) {
+    case Op::kStq:
+      pick = {sweep.config, sweep.predicted_time_s,
+              sweep.predicted_node_hours};
+      break;
+    case Op::kBq:
+      pick = guide::Advisor::pick_best(sweep.sweep,
+                                       guide::Objective::kNodeHours);
+      break;
+    case Op::kBudget:
+      pick = guide::Advisor::pick_within_budget(sweep, req.max_node_hours);
+      break;
+    default:
+      throw Error("the reference answers stq, bq, budget and job");
+  }
+  r.has_recommendation = true;
+  r.nodes = pick.config.nodes;
+  r.tile = pick.config.tile;
+  r.time_s = pick.predicted_time_s;
+  r.node_hours = pick.predicted_node_hours;
+  r.model_version = handle.version;
+  r.sweep_size = sweep.sweep.size();
+  return r;
+}
+
+/// Every ok answer in `got` renders byte for byte like reference_answer
+/// (cache_hit normalised); where the reference throws, the server must
+/// have answered ok=false.
+void expect_matches_reference(const std::vector<Request>& requests,
+                              const std::vector<Response>& got,
+                              ModelRegistry& registry) {
+  ASSERT_EQ(got.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    Response want;
+    try {
+      want = reference_answer(requests[i], registry);
+    } catch (const std::exception&) {
+      EXPECT_FALSE(got[i].ok) << "request " << i << " has no reference";
+      continue;
+    }
+    ASSERT_TRUE(got[i].ok) << "request " << i << ": " << got[i].error;
+    Response a = got[i];
+    a.cache_hit = false;
+    EXPECT_EQ(format_response(a), format_response(want)) << "request " << i;
+  }
+}
+
 TEST(ServerTest, RepeatQuestionsHitTheSweepCache) {
   ServerFixture f;
   Request req = f.stq(134, 951);
@@ -953,6 +1031,83 @@ TEST(ServerRobustnessTest, QueueDepthReturnsToZeroAfterMixedBurst) {
   EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
 }
 
+// ----------------------------------- robustness: expired before dispatch
+
+TEST(ServerRobustnessTest, ExpiredInQueueAnswersBeforeAnyCacheWork) {
+  // A request whose deadline expires while it waits for a worker answers
+  // code="deadline" before any registry get, cache probe or sweep: alone,
+  // as a member of a mixed frame, and inside a scheduler flush.
+  FaultOptions fopt;
+  fopt.seed = 5;
+  fopt.worker_stall = 1.0;  // every request task stalls 100..300 ms
+  fopt.worker_stall_ms = 200.0;
+  FaultInjector fault(fopt);
+  ServeOptions base;
+  base.fault_injector = &fault;
+  ServerFixture f(32, 1, base, "expired_in_queue");
+
+  Request expiring = f.stq(44, 260);
+  expiring.deadline_ms = 20;
+  const auto lone = f.server->submit(expiring).get();
+  EXPECT_FALSE(lone.ok);
+  EXPECT_EQ(lone.code, "deadline");
+  EXPECT_NE(lone.error.find("before dispatch"), std::string::npos)
+      << lone.error;
+  auto stats = f.server->stats();
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.sweeps_computed, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+  EXPECT_EQ(stats.errors, 1u);
+
+  Request job;
+  job.op = Op::kJob;
+  job.o = 134;
+  job.v = 951;
+  job.nodes = 110;
+  job.tile = 90;
+  Request stats_req;
+  stats_req.op = Op::kStats;
+  const std::vector<Request> frame = {f.stq(85, 698), expiring, job,
+                                      stats_req};
+  const auto submit_frame = [&](Server& server) {
+    std::promise<std::vector<Response>> answered;
+    server.submit_batch_with(frame, [&](std::vector<Response> out) {
+      answered.set_value(std::move(out));
+    });
+    return answered.get_future().get();
+  };
+  const auto expect_frame = [&](const std::vector<Response>& out,
+                                const ServerStats& before,
+                                const ServerStats& after) {
+    ASSERT_EQ(out.size(), frame.size());
+    EXPECT_TRUE(out[0].ok) << out[0].error;
+    EXPECT_EQ(out[1].code, "deadline");
+    EXPECT_NE(out[1].error.find("before dispatch"), std::string::npos)
+        << out[1].error;
+    EXPECT_TRUE(out[2].ok) << out[2].error;
+    EXPECT_TRUE(out[3].ok) << out[3].error;
+    // Only the live (85, 698) member probed the cache and swept.
+    EXPECT_EQ(after.cache_misses - before.cache_misses, 1u);
+    EXPECT_EQ(after.cache_hits - before.cache_hits, 0u);
+    EXPECT_EQ(after.sweeps_computed - before.sweeps_computed, 1u);
+    EXPECT_EQ(after.deadline_exceeded - before.deadline_exceeded, 1u);
+  };
+  const auto out = submit_frame(*f.server);
+  expect_frame(out, stats, f.server->stats());
+
+  // Through the BatchScheduler: the frame's records join the scheduler
+  // and the expiring one boards a stalled flush.
+  ServeOptions batched = base;
+  batched.batch.enabled = true;
+  batched.batch.max_hold_us = 50000;
+  batched.batch.max_inflight = 1;
+  ServerFixture g(32, 2, batched, "expired_in_flush");
+  const auto before = g.server->stats();
+  const auto flushed = submit_frame(*g.server);
+  expect_frame(flushed, before, g.server->stats());
+}
+
 // ------------------------------------------------- dynamic batching: lane
 
 TEST(BatchLaneTest, IdenticalColdKeysRunOneSweepSingleFlight) {
@@ -1027,8 +1182,65 @@ TEST(BatchLaneTest, DispatchBatchMatchesSerialBitIdentical) {
     EXPECT_EQ(format_response(a), format_response(b)) << "request " << i;
   }
 
+  // handle() and dispatch_batch() share their derivations, so the
+  // comparison above cannot catch a wrong answer they both give; the
+  // reference is computed without the server.
+  expect_matches_reference(all, batched, batch_f.registry);
+  expect_matches_reference(all, serial, serial_f.registry);
+
   // Sweep work must not scale with batch size: one sweep per problem.
   EXPECT_EQ(batch_f.server->stats().sweeps_computed, problems.size());
+}
+
+TEST(BatchLaneTest, CountersMatchOneByOne) {
+  // handle_batch keeps the accounting of every verb: a mixed batch must
+  // leave the counters the same requests leave one by one.
+  ServeOptions base;
+  base.online.enabled = true;
+  ServerFixture one_f(32, 1, base, "counters_one_by_one");
+  ServerFixture batch_f(32, 2, base, "counters_batch");
+
+  std::vector<Request> mix;
+  mix.push_back(one_f.stq(44, 260));
+  mix.push_back(one_f.stq(85, 698));
+  mix.back().op = Op::kBq;
+  mix.push_back(one_f.stq(134, 951));
+  mix.back().op = Op::kBudget;
+  mix.back().max_node_hours = 100.0;
+  Request job;
+  job.op = Op::kJob;
+  job.o = 134;
+  job.v = 951;
+  job.nodes = 110;
+  job.tile = 90;
+  mix.push_back(job);
+  Request report = job;
+  report.op = Op::kReport;
+  report.wall_times = {12.5};
+  mix.push_back(report);
+  mix.push_back(Request{});
+  mix.back().op = Op::kStats;
+  mix.push_back(one_f.stq(-3, 100));  // invalid: an internal error
+  mix.push_back(one_f.stq(44, 260));  // repeat
+
+  for (const Request& r : mix) one_f.server->handle(r);
+  const auto batched = batch_f.server->dispatch_batch(mix);
+  ASSERT_EQ(batched.size(), mix.size());
+
+  const auto a = one_f.server->stats();
+  const auto b = batch_f.server->stats();
+  EXPECT_EQ(a.requests, mix.size());
+  EXPECT_EQ(b.requests, a.requests);
+  EXPECT_EQ(a.errors, 1u);
+  EXPECT_EQ(b.errors, a.errors);
+  EXPECT_EQ(b.deadline_exceeded, a.deadline_exceeded);
+  EXPECT_EQ(b.stale_served, a.stale_served);
+  for (std::size_t op = 0; op < kNumOps; ++op) {
+    EXPECT_EQ(b.verb_latency[op].count, a.verb_latency[op].count)
+        << op_name(static_cast<Op>(op));
+  }
+  EXPECT_EQ(a.verb_latency[static_cast<std::size_t>(Op::kStq)].count, 3u);
+  EXPECT_EQ(a.verb_latency[static_cast<std::size_t>(Op::kReport)].count, 1u);
 }
 
 // -------------------------------------------- dynamic batching: scheduler
@@ -1096,6 +1308,8 @@ TEST(BatchSchedulerTest, BurstCoalescesAndStaysBitIdentical) {
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(f.server->submit(make_request(i)));
   }
+  std::vector<Request> requests;
+  std::vector<Response> burst;
   for (int i = 0; i < kRequests; ++i) {
     const auto r = futures[i].get();
     ASSERT_TRUE(r.ok) << "request " << i << ": " << r.error;
@@ -1103,7 +1317,10 @@ TEST(BatchSchedulerTest, BurstCoalescesAndStaysBitIdentical) {
     EXPECT_EQ(r.tile, serial[i].tile) << "request " << i;
     EXPECT_EQ(r.time_s, serial[i].time_s) << "request " << i;
     EXPECT_EQ(r.node_hours, serial[i].node_hours) << "request " << i;
+    requests.push_back(make_request(i));
+    burst.push_back(r);
   }
+  expect_matches_reference(requests, burst, f.registry);
 
   const auto stats = f.server->stats();
   // Every dispatched request is either in a >=2 flush or a bypass.
@@ -1135,7 +1352,7 @@ TEST(BatchSchedulerTest, DeadlineAwareFlushBeatsHold) {
   base.batch.max_inflight = 1;      // A occupies the only dispatch slot
   ServerFixture f(32, 4, base, "batch_edf");
 
-  // Warm (44,260) through the serial path (pays one stalled sweep).
+  // Warm (44,260) through handle() (pays one stalled sweep).
   ASSERT_TRUE(f.server->handle(f.stq(44, 260)).ok);
 
   // A: cold key; bypasses into the single slot and stalls >= 150 ms.
