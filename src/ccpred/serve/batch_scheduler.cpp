@@ -55,8 +55,8 @@ void BatchScheduler::submit(Request request,
     record_dispatch(1);
     ++inflight_;
     lock.unlock();
-    std::deque<Pending> alone;
-    alone.push_back(std::move(p));
+    Flush alone(1);
+    alone.add(p);
     dispatch(std::move(alone));
     return;
   }
@@ -108,49 +108,47 @@ void BatchScheduler::flusher_loop() {
   }
 }
 
+BatchScheduler::Flush::Flush(std::size_t n) {
+  requests.reserve(n);
+  deadlines.reserve(n);
+  dones.reserve(n);
+}
+
+void BatchScheduler::Flush::add(Pending& p) {
+  requests.push_back(std::move(p.request));
+  deadlines.push_back(p.deadline);
+  dones.push_back(std::move(p.done));
+}
+
 void BatchScheduler::flush_locked() {
-  std::deque<Pending> batch;
-  if (pending_.size() <= options_.max_batch) {
-    batch.swap(pending_);  // full drain: O(1), no per-element moves
-    deadline_count_ = 0;
-  } else if (deadline_count_ == 0) {
-    // Nothing queued carries a deadline, so EDF reduces to FIFO: take the
-    // head and leave the (possibly deep) tail untouched instead of
-    // sorting the whole queue under the lock.
-    for (std::size_t i = 0; i < options_.max_batch; ++i) {
-      batch.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-  } else {
-    // Size-capped flush: the tightest deadlines board first (EDF), the
-    // rest keep their relative order for the next flush.
-    std::vector<Pending> all;
-    all.reserve(pending_.size());
-    for (Pending& p : pending_) all.push_back(std::move(p));
-    pending_.clear();
-    std::stable_sort(all.begin(), all.end(),
+  // A size-capped flush boards the tightest deadlines first (EDF); the
+  // rest stay queued in that order for the next flush. With no deadline
+  // queued EDF is FIFO, so the (possibly deep) queue is not sorted under
+  // the lock.
+  if (pending_.size() > options_.max_batch && deadline_count_ > 0) {
+    std::stable_sort(pending_.begin(), pending_.end(),
                      [](const Pending& a, const Pending& b) {
                        return a.deadline < b.deadline;
                      });
-    deadline_count_ = 0;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      if (i < options_.max_batch) {
-        batch.push_back(std::move(all[i]));
-      } else {
-        if (all[i].deadline != Clock::time_point::max()) ++deadline_count_;
-        pending_.push_back(std::move(all[i]));
-      }
-    }
   }
-  record_dispatch(batch.size());
+  const std::size_t n = std::min(pending_.size(), options_.max_batch);
+  Flush batch(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pending_.front().deadline != Clock::time_point::max()) {
+      --deadline_count_;
+    }
+    batch.add(pending_.front());
+    pending_.pop_front();
+  }
+  record_dispatch(n);
   ++inflight_;
   dispatch(std::move(batch));
 }
 
-void BatchScheduler::dispatch(std::deque<Pending> batch) {
+void BatchScheduler::dispatch(Flush flush) {
   // ONE pool hand-off for the whole flush — the per-request hand-off this
   // layer exists to amortize. A bypass or one-deep flush is a batch of
-  // one through the same path.
+  // one through the same path, and handle_batch reads the flush in place.
   //
   // The slot is freed (on_batch_done) as soon as the answers are computed,
   // BEFORE completions are delivered: a closed-loop client's next request
@@ -159,24 +157,16 @@ void BatchScheduler::dispatch(std::deque<Pending> batch) {
   // the last touch of `this` — once the slot count hits zero the
   // destructor may run — so everything after it goes through `srv`, whose
   // pool joins this task before the Server's own fields die.
-  auto shared = std::make_shared<std::deque<Pending>>(std::move(batch));
   Server* srv = &server_;
-  server_.pool_.post([this, srv, shared] {
+  server_.pool_.post([this, srv, flush = std::move(flush)]() mutable {
     if (srv->fault_ != nullptr) {
       srv->fault_->maybe_delay(FaultPoint::kWorkerStall);
     }
-    std::vector<Request> requests;
-    std::vector<Clock::time_point> deadlines;
-    requests.reserve(shared->size());
-    deadlines.reserve(shared->size());
-    for (Pending& p : *shared) {
-      requests.push_back(std::move(p.request));
-      deadlines.push_back(p.deadline);
-    }
-    std::vector<Response> out = srv->handle_batch(requests, deadlines);
+    std::vector<Response> out =
+        srv->handle_batch(flush.requests, flush.deadlines);
     on_batch_done();
-    for (std::size_t i = 0; i < shared->size(); ++i) {
-      (*shared)[i].done(std::move(out[i]));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      flush.dones[i](std::move(out[i]));
       srv->queue_depth_.fetch_sub(1, std::memory_order_relaxed);
     }
   });

@@ -100,6 +100,16 @@ class BatchScheduler {
     Clock::time_point enqueued;
   };
 
+  /// One dispatch, laid out as Server::handle_batch reads it.
+  struct Flush {
+    std::vector<Request> requests;
+    std::vector<Clock::time_point> deadlines;
+    std::vector<std::function<void(Response)>> dones;
+
+    explicit Flush(std::size_t n);
+    void add(Pending& p);
+  };
+
   void flusher_loop();
 
   /// Latest instant this request may sit in the queue: its hold window,
@@ -113,7 +123,7 @@ class BatchScheduler {
   void flush_locked();
 
   /// Posts one flush (any size, a bypass included) to the worker pool.
-  void dispatch(std::deque<Pending> batch);
+  void dispatch(Flush flush);
   void on_batch_done();
   void record_dispatch(std::size_t size);
 

@@ -1,11 +1,37 @@
 #include "ccpred/serve/fleet.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstdio>
+#include <future>
+#include <thread>
 #include <utility>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "ccpred/common/error.hpp"
+#include "ccpred/serve/wire.hpp"
 
 namespace ccpred::serve {
+
+using Frame = std::vector<Request>;
+using FrameDone = std::function<void(std::vector<Response>)>;
+
+/// A fleet member's transport. submit() hands a frame over: `done` then
+/// runs exactly once, on a shard worker or before submit() returns. A
+/// shard that cannot be reached answers false (or nullopt) instead,
+/// leaving the arguments untouched; the fleet marks it dead and walks on.
+class Shard {
+ public:
+  virtual ~Shard() = default;
+  virtual bool submit(Frame& batch, FrameDone& done) = 0;
+  virtual std::optional<ServerStats> stats() = 0;
+};
+
 namespace {
 
 /// splitmix64 finalizer (same construction as the FaultInjector's mixer):
@@ -18,7 +44,7 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 /// FNV-1a, explicitly — std::hash makes no cross-process guarantee, and
-/// the serverd router and its shard children must agree on every key.
+/// every process routing by the ring must agree on every key.
 std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
   for (const unsigned char c : s) {
     h ^= c;
@@ -31,6 +57,134 @@ Response unavailable(const Request& req) {
   return error_response("no live shard for this key", op_name(req.op), req.id,
                         "unavailable");
 }
+
+/// An in-process Server: submit() enqueues on its pool and returns.
+class LocalShard final : public Shard {
+ public:
+  LocalShard(ModelRegistry& registry, const ServeOptions& options)
+      : server_(registry, options) {}
+
+  bool submit(Frame& batch, FrameDone& done) override {
+    server_.submit_batch_with(std::move(batch), std::move(done));
+    return true;
+  }
+  std::optional<ServerStats> stats() override { return server_.stats(); }
+
+ private:
+  Server server_;
+};
+
+/// Shards train missing artifacts on first use, so the first connect can
+/// race a multi-second startup: retry for up to ~60 s before declaring
+/// the shard dead.
+int connect_with_retry(int port) {
+  for (int attempt = 0;; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    CCPRED_CHECK_MSG(fd >= 0, "cannot create router socket");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      return fd;
+    }
+    ::close(fd);
+    CCPRED_CHECK_MSG(attempt < 300, "cannot connect to shard on port " << port);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+}
+
+void send_all(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    CCPRED_CHECK_MSG(n > 0, "shard connection lost mid-send");
+    sent += static_cast<std::size_t>(n);
+  }
+}
+
+std::vector<Response> read_response_frame(int fd) {
+  std::string buf;
+  char chunk[65536];
+  wire::FrameHeader header;
+  while (true) {
+    std::string error;
+    const wire::FrameStatus status = wire::probe_frame(
+        reinterpret_cast<const unsigned char*>(buf.data()), buf.size(),
+        &header, &error);
+    CCPRED_CHECK_MSG(status != wire::FrameStatus::kBad,
+                     "shard protocol error: " << error);
+    if (status == wire::FrameStatus::kHeader &&
+        buf.size() >= wire::kHeaderBytes + header.payload_bytes) {
+      // Round trips are serialized per connection, so nothing may follow
+      // the frame.
+      CCPRED_CHECK_MSG(buf.size() == wire::kHeaderBytes + header.payload_bytes,
+                       "unexpected bytes after shard response frame");
+      return wire::decode_response_frame(
+          header, reinterpret_cast<const unsigned char*>(buf.data()) +
+                      wire::kHeaderBytes);
+    }
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    CCPRED_CHECK_MSG(n > 0, "shard connection closed mid-frame");
+    buf.append(chunk, static_cast<std::size_t>(n));
+  }
+}
+
+/// A shard process on 127.0.0.1:port behind one pooled binary-wire
+/// connection, opened lazily. Every call is one round trip, serialized
+/// per connection, so every call blocks. A failed round trip (connect
+/// timeout, mid-frame EOF, malformed reply) fails this and every later
+/// call.
+class ProcessShard final : public Shard {
+ public:
+  explicit ProcessShard(int port) : port_(port) {}
+  ~ProcessShard() override {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool submit(Frame& batch, FrameDone& done) override {
+    std::optional<std::vector<Response>> replies = exchange(batch);
+    if (replies) done(std::move(*replies));
+    return replies.has_value();
+  }
+
+  std::optional<ServerStats> stats() override {
+    // A default Request is a stats request.
+    const std::optional<std::vector<Response>> reply = exchange({Request{}});
+    if (!reply || !reply->front().has_stats) return std::nullopt;
+    return reply->front().stats;
+  }
+
+ private:
+  std::optional<std::vector<Response>> exchange(const Frame& batch) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (failed_) return std::nullopt;
+    try {
+      if (fd_ < 0) fd_ = connect_with_retry(port_);
+      send_all(fd_, wire::encode_request_frame(batch));
+      std::vector<Response> replies = read_response_frame(fd_);
+      CCPRED_CHECK_MSG(replies.size() == batch.size(),
+                       "shard answered " << replies.size() << " records for "
+                                         << batch.size());
+      return replies;
+    } catch (const std::exception& e) {
+      failed_ = true;
+      std::fprintf(stderr, "fleet: shard on port %d marked dead: %s\n", port_,
+                   e.what());
+      return std::nullopt;
+    }
+  }
+
+  const int port_;
+  std::mutex mutex_;  ///< serializes the connection's round trips
+  int fd_ = -1;
+  bool failed_ = false;
+};
 
 }  // namespace
 
@@ -95,21 +249,39 @@ std::uint64_t HashRing::request_key(const Request& request,
 }
 
 ShardFleet::ShardFleet(ModelRegistry& registry, FleetOptions options)
-    : registry_(registry), options_(std::move(options)), ring_(options_.vnodes) {
-  CCPRED_CHECK_MSG(options_.shards > 0, "fleet needs at least one shard");
-  slots_.reserve(options_.shards);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    auto slot = std::make_unique<Slot>();
-    slot->server = std::make_shared<Server>(registry_, options_.serve);
-    slots_.push_back(std::move(slot));
+    : options_(std::move(options)),
+      registry_(&registry),
+      ring_(options_.vnodes),
+      router_pool_(1) {
+  add_slots(options_.shards);
+}
+
+ShardFleet::ShardFleet(std::vector<int> ports, FleetOptions options)
+    : options_(std::move(options)),
+      ports_(std::move(ports)),
+      ring_(options_.vnodes),
+      router_pool_(options_.serve.threads == 0 ? 4 : options_.serve.threads) {
+  add_slots(ports_.size());
+}
+
+void ShardFleet::add_slots(std::size_t shards) {
+  CCPRED_CHECK_MSG(shards > 0, "fleet needs at least one shard");
+  for (std::size_t i = 0; i < shards; ++i) {
+    slots_.push_back(std::make_unique<Slot>());
+    slots_.back()->shard = make_shard(i);
     ring_.add(static_cast<int>(i));
   }
 }
 
-std::shared_ptr<Server> ShardFleet::pin(std::size_t i) const {
+std::shared_ptr<Shard> ShardFleet::make_shard(std::size_t i) const {
+  if (registry_ == nullptr) return std::make_shared<ProcessShard>(ports_[i]);
+  return std::make_shared<LocalShard>(*registry_, options_.serve);
+}
+
+std::shared_ptr<Shard> ShardFleet::pin(std::size_t i) const {
   const Slot& slot = *slots_[i];
   const std::lock_guard<std::mutex> lock(slot.mutex);
-  return slot.server;
+  return slot.shard;
 }
 
 int ShardFleet::pick(std::uint64_t key) const {
@@ -139,112 +311,112 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
   }
 }
 
-std::shared_ptr<Server> ShardFleet::route(const Request& req,
-                                          std::size_t records) {
-  const std::uint64_t key = HashRing::request_key(
-      req, options_.serve.default_machine, options_.serve.default_model);
-  maybe_chaos(key);
-  bool failed_over = false;
-  for (const int s : ring_.preference(key, slots_.size())) {
-    const auto i = static_cast<std::size_t>(s);
-    std::shared_ptr<Server> srv = pin(i);
-    if (srv == nullptr) {
-      failed_over = true;
-      continue;
-    }
-    if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
-    slots_[i]->routed.fetch_add(records, std::memory_order_relaxed);
-    return srv;
-  }
-  unrouteable_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
 Response ShardFleet::handle(const Request& req) {
   if (req.op == Op::kStats) {
-    return stats_response(req.id, aggregated_stats());
+    const std::optional<ServerStats> merged = fan_out_stats();
+    return merged ? stats_response(req.id, *merged) : unavailable(req);
   }
-  const std::shared_ptr<Server> srv = route(req, 1);
-  return srv != nullptr ? srv->handle(req) : unavailable(req);
+  std::promise<std::vector<Response>> answer;
+  std::future<std::vector<Response>> future = answer.get_future();
+  route_frame({req}, [&answer](std::vector<Response> out) {
+    answer.set_value(std::move(out));
+  });
+  return std::move(future.get().front());
 }
 
 void ShardFleet::submit_with(Request req, std::function<void(Response)> done) {
-  if (req.op == Op::kStats) {
-    done(stats_response(req.id, aggregated_stats()));
-    return;
-  }
-  const std::shared_ptr<Server> srv = route(req, 1);
-  if (srv == nullptr) {
-    done(unavailable(req));
-    return;
-  }
-  srv->submit_with(std::move(req), std::move(done));
+  submit_batch_with({std::move(req)},
+                    [done = std::move(done)](std::vector<Response> out) {
+                      done(std::move(out.front()));
+                    });
 }
 
-void ShardFleet::submit_batch_with(
-    std::vector<Request> batch,
-    std::function<void(std::vector<Response>)> done) {
-  if (batch.empty()) {
-    done({});
+void ShardFleet::submit_batch_with(Frame batch, FrameDone done) {
+  const auto is_stats = [](const Request& r) { return r.op == Op::kStats; };
+  const bool stats = std::any_of(batch.begin(), batch.end(), is_stats);
+  if (!stats && registry_ != nullptr) {
+    route_frame(std::move(batch), std::move(done));  // enqueues and returns
     return;
   }
-  // Stats inside a frame would need a fan-out from a shard worker; answer
-  // such frames through the synchronous per-record path instead.
-  const bool any_stats =
-      std::any_of(batch.begin(), batch.end(),
-                  [](const Request& r) { return r.op == Op::kStats; });
-  if (any_stats) {
+  // Round trips to shard processes and stats fan-outs block, so they run
+  // on the router pool; a frame holding stats answers record by record.
+  router_pool_.post([this, stats, batch = std::move(batch),
+                      done = std::move(done)]() mutable {
+    if (!stats) {
+      route_frame(std::move(batch), std::move(done));
+      return;
+    }
     std::vector<Response> out;
     out.reserve(batch.size());
     for (const Request& r : batch) out.push_back(handle(r));
     done(std::move(out));
+  });
+}
+
+void ShardFleet::route_frame(Frame batch, FrameDone done) {
+  if (batch.empty()) {
+    done({});
     return;
   }
-  // Route the whole frame by its first record: clients batch questions
-  // that share a destination; strays still answer correctly, they just
-  // miss this shard's cache.
-  const std::shared_ptr<Server> srv = route(batch.front(), batch.size());
-  if (srv == nullptr) {
-    std::vector<Response> out;
-    out.reserve(batch.size());
-    for (const Request& r : batch) out.push_back(unavailable(r));
-    done(std::move(out));
-    return;
+  const std::uint64_t key =
+      HashRing::request_key(batch.front(), options_.serve.default_machine,
+                            options_.serve.default_model);
+  maybe_chaos(key);
+  bool failed_over = false;
+  for (const int s : ring_.preference(key, slots_.size())) {
+    const auto i = static_cast<std::size_t>(s);
+    if (const std::shared_ptr<Shard> shard = pin(i)) {
+      // Counted before the hand-off: an in-process answer may complete
+      // on a shard worker before submit() returns.
+      if (failed_over) failovers_.fetch_add(1, std::memory_order_relaxed);
+      slots_[i]->routed.fetch_add(batch.size(), std::memory_order_relaxed);
+      if (shard->submit(batch, done)) return;
+      take(i, shard.get());  // unreachable: dead from now on
+    }
+    failed_over = true;
   }
-  srv->submit_batch_with(std::move(batch), std::move(done));
+  unrouteable_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<Response> out;
+  out.reserve(batch.size());
+  for (const Request& r : batch) out.push_back(unavailable(r));
+  done(std::move(out));
+}
+
+std::shared_ptr<Shard> ShardFleet::take(std::size_t i, const Shard* only) {
+  Slot& slot = *slots_[i];
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  if (slot.shard == nullptr || (only != nullptr && slot.shard.get() != only)) {
+    return nullptr;
+  }
+  slot.alive.store(false, std::memory_order_release);
+  return std::move(slot.shard);
 }
 
 bool ShardFleet::kill_shard(std::size_t i) {
   if (i >= slots_.size()) return false;
-  std::shared_ptr<Server> victim;
-  {
-    const std::lock_guard<std::mutex> membership(membership_mutex_);
-    std::size_t live = 0;
-    for (const auto& slot : slots_) {
-      if (slot->alive.load(std::memory_order_acquire)) ++live;
-    }
-    Slot& slot = *slots_[i];
-    const std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.server == nullptr || live <= 1) return false;
-    victim = std::move(slot.server);
-    slot.server = nullptr;
-    slot.alive.store(false, std::memory_order_release);
-    kills_.fetch_add(1, std::memory_order_relaxed);
+  // Declared before the lock, so it dies after the lock is released: the
+  // last holder of the shard runs its destructor (draining an in-process
+  // shard's pools) off the locks.
+  std::shared_ptr<Shard> victim;
+  const std::lock_guard<std::mutex> membership(membership_mutex_);
+  std::size_t live = 0;
+  for (const auto& slot : slots_) {
+    if (slot->alive.load(std::memory_order_acquire)) ++live;
   }
-  // `victim` dies here unless in-flight requests still pin it; the last
-  // holder runs the destructor (draining the shard's pools) off the locks.
+  if (live <= 1 || (victim = take(i, nullptr)) == nullptr) return false;
+  kills_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool ShardFleet::restart_shard(std::size_t i) {
   if (i >= slots_.size()) return false;
   // Built outside the locks: Server construction spawns worker pools.
-  auto fresh = std::make_shared<Server>(registry_, options_.serve);
+  std::shared_ptr<Shard> fresh = make_shard(i);
   const std::lock_guard<std::mutex> membership(membership_mutex_);
   Slot& slot = *slots_[i];
   const std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.server != nullptr) return false;
-  slot.server = std::move(fresh);
+  if (slot.shard != nullptr) return false;
+  slot.shard = std::move(fresh);
   slot.alive.store(true, std::memory_order_release);
   restarts_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -275,19 +447,31 @@ FleetCounters ShardFleet::counters() const {
   return c;
 }
 
-ServerStats ShardFleet::aggregated_stats() const {
+std::optional<ServerStats> ShardFleet::fan_out_stats() {
   std::vector<ServerStats> shards;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const std::shared_ptr<Server> srv = pin(i);
-    if (srv != nullptr) shards.push_back(srv->stats());
+    const std::shared_ptr<Shard> shard = pin(i);
+    if (shard == nullptr) continue;
+    if (std::optional<ServerStats> s = shard->stats()) {
+      shards.push_back(*s);
+    } else {
+      take(i, shard.get());
+    }
   }
+  if (shards.empty()) return std::nullopt;
   ServerStats total = merge_stats(shards);
-  // Every shard reports the one shared registry_: count it once, not once
-  // per shard.
-  total.reload_failures = registry_.reload_failures();
-  total.models_loaded = registry_.loads();
-  total.models_trained = registry_.trainings();
+  if (registry_ != nullptr) {
+    // Every shard reports the one shared registry: count it once, not
+    // once per shard.
+    total.reload_failures = registry_->reload_failures();
+    total.models_loaded = registry_->loads();
+    total.models_trained = registry_->trainings();
+  }
   return total;
+}
+
+ServerStats ShardFleet::aggregated_stats() {
+  return fan_out_stats().value_or(ServerStats{});
 }
 
 }  // namespace ccpred::serve

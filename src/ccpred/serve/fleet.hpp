@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file fleet.hpp
-/// Horizontal scale-out for the serving layer: N Server shards behind a
-/// consistent-hash router.
+/// Horizontal scale-out for the serving layer: N shards — in-process
+/// Servers, or the shard processes `serve --fleet N` forks, reached over
+/// the binary wire — behind ShardFleet, the one consistent-hash router.
 ///
 /// Sharding key. Sweeps — the expensive unit of work — are pure functions
 /// of (machine, kind, O, V) at a given model version, so that tuple is the
@@ -10,43 +11,48 @@
 /// cache already holds the answer. The model version is deliberately NOT
 /// part of the key (a hot-reload would re-shard the whole keyspace for
 /// nothing); job estimates route by the same (machine, kind, O, V) for
-/// locality, stats fan out to every live shard and aggregate.
+/// locality, a frame routes by its first record, and stats fan out to
+/// every live shard and merge.
 ///
 /// The ring. Each shard owns `vnodes` pseudo-random points on a u64 ring
 /// (splitmix64 of (shard, replica)); a key belongs to the first shard
 /// point clockwise from its hash. Adding or removing one shard therefore
 /// moves only the slices adjacent to its points — the property the fleet
 /// test pins down — and the ring is identical in every process that
-/// configures the same shard count, which is what lets the serverd
-/// `--fleet` router and its child processes agree on ownership without
-/// any coordination.
+/// configures the same shard count, so clients can route by it too.
 ///
-/// Failure. kill_shard() models a crashed worker: the Server object is
-/// dropped (its pools drain once in-flight requests release it) and the
-/// slot goes dead. Routing then walks the key's preference list — the
-/// distinct shards in ring order after the owner — to the first live
-/// replica ("failover re-hash"). A restarted shard rejoins with an EMPTY
-/// cache but, because sweeps are deterministic, answers bit-identically;
-/// only cache_hit flags and latency differ. The chaos test (seeds 1/7/42)
-/// drives kills and restarts through the FaultInjector's kShardKill /
-/// kShardRestart points while asserting every request is answered exactly
-/// once with baseline-identical bytes. The last live shard is never
-/// killed, so an answer always exists.
+/// Failure. Routing walks the key's preference list — the distinct shards
+/// in ring order after the owner — to the first live shard ("failover
+/// re-hash"); a shard process whose round trip fails is marked dead on the
+/// spot and the walk goes on. kill_shard() models a crashed worker (never
+/// the last live one); restart_shard() revives a slot with a fresh shard
+/// — a Server with an EMPTY cache that, because sweeps are deterministic,
+/// answers bit-identically, or a new connection to the slot's port. The
+/// chaos test (seeds 1/7/42) drives kills and restarts through the
+/// FaultInjector's kShardKill / kShardRestart points.
+///
+/// Threads. submit_with/submit_batch_with never block their caller (the
+/// event loop thread in serverd): in-process shards enqueue on their own
+/// pools; round trips to shard processes and stats fan-outs run on the
+/// fleet's router pool.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "ccpred/common/thread_pool.hpp"
 #include "ccpred/serve/server.hpp"
 
 namespace ccpred::serve {
+
+class Shard;  ///< a fleet member's transport (fleet.cpp)
 
 /// Consistent-hash ring over integer shard ids. Not thread-safe; the
 /// fleet mutates it only under its own lock (membership changes are rare).
@@ -71,7 +77,7 @@ class HashRing {
                                 const std::string& kind, int o, int v);
 
   /// key_hash of a request, with the server defaults applied to an empty
-  /// machine or model — the key both fleets route by.
+  /// machine or model — the key the fleet routes by.
   static std::uint64_t request_key(const Request& request,
                                    const std::string& default_machine,
                                    const std::string& default_model);
@@ -84,9 +90,11 @@ class HashRing {
 
 /// Fleet construction knobs.
 struct FleetOptions {
-  std::size_t shards = 3;
+  std::size_t shards = 3;   ///< in-process shards
   std::size_t vnodes = 64;  ///< ring points per shard
-  ServeOptions serve;       ///< applied to every shard's Server
+  /// Every in-process Server; with shard processes, only the defaults and
+  /// `threads` (the router pool size, 0 = 4) apply.
+  ServeOptions serve;
   /// Optional chaos source consulted once per routed request: kShardKill
   /// tears down the target shard (never the last live one), kShardRestart
   /// revives the lowest-numbered dead shard. Must outlive the fleet.
@@ -97,41 +105,44 @@ struct FleetOptions {
 struct FleetCounters {
   std::size_t shards = 0;
   std::size_t alive = 0;
-  std::uint64_t routed = 0;     ///< requests routed to a shard
-  std::uint64_t failovers = 0;  ///< served by a replica, owner dead
+  std::uint64_t routed = 0;     ///< records handed to a shard
+  std::uint64_t failovers = 0;  ///< hand-offs past a dead owner
   std::uint64_t kills = 0;
   std::uint64_t restarts = 0;
-  std::uint64_t unrouteable = 0;  ///< no live shard (cannot happen via faults)
+  std::uint64_t unrouteable = 0;  ///< no live shard to answer
 };
 
-/// In-process shard fleet. Thread-safe: handle()/submit_with() may be
-/// called from any number of threads. All shards share one ModelRegistry,
-/// so answers carry identical model versions regardless of which shard
-/// serves them.
+/// See file comment. Thread-safe: every method may be called from any
+/// number of threads.
 class ShardFleet {
  public:
+  /// `options.shards` in-process Servers sharing one ModelRegistry (so
+  /// one model version), which must outlive the fleet.
   ShardFleet(ModelRegistry& registry, FleetOptions options);
 
-  /// Routes one request to its shard (with failover) and handles it
-  /// synchronously. Stats requests aggregate across live shards.
+  /// One shard process per port on 127.0.0.1, connected lazily.
+  ShardFleet(std::vector<int> ports, FleetOptions options);
+
+  /// Routes one request to its shard (with failover) and waits for the
+  /// answer. Stats requests merge across live shards.
   Response handle(const Request& request);
 
-  /// Routes and enqueues onto the target shard's worker pool.
+  /// A frame of one (see submit_batch_with).
   void submit_with(Request request, std::function<void(Response)> done);
 
-  /// One worker task on the target shard of the FIRST request — wire
-  /// frames are batched by the client precisely because they share a
-  /// destination; mixed-destination frames still answer correctly, just
-  /// without cache locality for the strays.
+  /// Routes a whole wire frame by its FIRST record — clients batch
+  /// questions that share a destination; mixed-destination frames still
+  /// answer correctly, just without cache locality for the strays. Stats
+  /// records answer from the fleet-wide merge; `done` runs once.
   void submit_batch_with(std::vector<Request> batch,
                          std::function<void(std::vector<Response>)> done);
 
   /// Tears down shard `i` (no-op if already dead or it is the last live
   /// shard; returns whether it died). In-flight requests finish first —
-  /// the Server is destroyed when the last holder lets go.
+  /// the shard is destroyed when the last holder lets go.
   bool kill_shard(std::size_t i);
 
-  /// Revives shard `i` with a fresh (empty-cache) Server. No-op if alive.
+  /// Revives shard `i` with a fresh shard. No-op if alive.
   bool restart_shard(std::size_t i);
 
   bool alive(std::size_t i) const;
@@ -142,31 +153,40 @@ class ShardFleet {
   int route_of(const Request& request) const;
 
   FleetCounters counters() const;
-  /// merge_stats over the live shards, with the registry counters read
-  /// once from the shared registry.
-  ServerStats aggregated_stats() const;
+  /// merge_stats over the live shards. The registry counters of shards
+  /// sharing one registry are read once from it; shard processes sum.
+  ServerStats aggregated_stats();
 
  private:
   struct Slot {
-    mutable std::mutex mutex;        ///< guards `server` swap
-    std::shared_ptr<Server> server;  ///< null while dead
+    mutable std::mutex mutex;      ///< guards `shard` swap
+    std::shared_ptr<Shard> shard;  ///< null while dead
     std::atomic<bool> alive{true};
     std::atomic<std::uint64_t> routed{0};
   };
 
-  /// Pins the slot's server (or nullptr if dead).
-  std::shared_ptr<Server> pin(std::size_t i) const;
+  void add_slots(std::size_t shards);
+  /// A fresh shard for slot i.
+  std::shared_ptr<Shard> make_shard(std::size_t i) const;
+  /// Pins the slot's shard (or nullptr if dead).
+  std::shared_ptr<Shard> pin(std::size_t i) const;
   /// First live shard in the key's preference list; -1 if none.
   int pick(std::uint64_t key) const;
-  /// The preference walk of every routed request: chaos points, then the
-  /// first live shard for the request's key, pinned, with `records` routed
-  /// to it. nullptr (counted unrouteable) when no shard is alive.
-  std::shared_ptr<Server> route(const Request& request, std::size_t records);
+  /// The preference walk of a frame without stats, on this thread: chaos
+  /// points, then the first live shard in ring order that takes it.
+  void route_frame(std::vector<Request> batch,
+                   std::function<void(std::vector<Response>)> done);
+  /// merge_stats over the shards that answered; nullopt if none did.
+  std::optional<ServerStats> fan_out_stats();
+  /// Removes slot i's shard (only if it is still `only`, when given) and
+  /// returns it, for the caller to destroy off every lock.
+  std::shared_ptr<Shard> take(std::size_t i, const Shard* only);
   /// Consults the chaos points once per routed request.
   void maybe_chaos(std::uint64_t key);
 
-  ModelRegistry& registry_;
   FleetOptions options_;
+  ModelRegistry* registry_ = nullptr;  ///< shared by in-process shards
+  std::vector<int> ports_;             ///< of shard processes
   HashRing ring_;
   std::vector<std::unique_ptr<Slot>> slots_;
   /// Serializes kill/restart so two concurrent kills can never observe
@@ -176,6 +196,9 @@ class ShardFleet {
   std::atomic<std::uint64_t> kills_{0};
   std::atomic<std::uint64_t> restarts_{0};
   std::atomic<std::uint64_t> unrouteable_{0};
+  /// Last member: it drains first, while everything its tasks touch is
+  /// alive.
+  ThreadPool router_pool_;
 };
 
 }  // namespace ccpred::serve

@@ -13,7 +13,7 @@
 /// of them); the online gate (wire only); the online group
 /// (`online_<name>`), present only when the gate is set.
 ///
-/// Merge rules (merge_stats, shared by both fleets): counters and gauges
+/// Merge rules (merge_stats, the fleet's one merge): counters and gauges
 /// sum; worst observations take the max; the gate ORs; quantiles and means
 /// become means weighted by the field's Weight; cache_hit_rate is
 /// recomputed from the merged counters. So fleet p50/p95/p99 are
@@ -81,7 +81,6 @@ enum class Weight { kNone, kRequests, kVerbCount, kDispatches };
   X(std::uint64_t, shed, kSum, kNone)            /* code="overloaded" */   \
   X(std::uint64_t, stale_served, kSum, kNone)    /* ok, stale model */     \
   X(std::uint64_t, reload_failures, kSum, kNone) /* failed loads */        \
-  X(std::uint64_t, retries, kSum, kNone)         /* 0: client-side now */  \
   X(std::uint64_t, models_loaded, kSum, kNone)   /* artifact (re)loads */  \
   X(std::uint64_t, models_trained, kSum, kNone)  /* train-and-cache */     \
   X(double, latency_p50_ms, kMean, kRequests)                              \

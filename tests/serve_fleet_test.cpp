@@ -1,9 +1,10 @@
 // Tests for the serving fleet: the consistent-hash ring (stable assignment
 // under membership churn), the in-process ShardFleet (failover to a live
 // replica, kill/restart rejoining with an empty cache but bit-identical
-// answers) and the epoll EventLoopServer end to end over real sockets
+// answers), the epoll EventLoopServer end to end over real sockets
 // (response ordering, JSON/binary interleaving on one connection, garbage
-// input, oversized declared lengths, mid-frame disconnects).
+// input, oversized declared lengths, mid-frame disconnects) and the fleet
+// over process shards reached through the binary wire.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <future>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,6 +31,7 @@
 #include "ccpred/core/gradient_boosting.hpp"
 #include "ccpred/core/serialize.hpp"
 #include "ccpred/serve/event_loop.hpp"
+#include "ccpred/serve/fault_injector.hpp"
 #include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/server.hpp"
@@ -383,7 +388,6 @@ TEST(MergeStatsTest, EveryFieldFollowsItsMergeRule) {
   EXPECT_EQ(m.shed, sum(&ServerStats::shed));
   EXPECT_EQ(m.stale_served, sum(&ServerStats::stale_served));
   EXPECT_EQ(m.reload_failures, sum(&ServerStats::reload_failures));
-  EXPECT_EQ(m.retries, sum(&ServerStats::retries));
   EXPECT_EQ(m.models_loaded, sum(&ServerStats::models_loaded));
   EXPECT_EQ(m.models_trained, sum(&ServerStats::models_trained));
   EXPECT_EQ(m.batched_requests, sum(&ServerStats::batched_requests));
@@ -765,6 +769,200 @@ TEST(EventLoopServerTest, ManyConcurrentConnectionsAllAnswered) {
   }
   EXPECT_EQ(server.stats().connections_accepted,
             static_cast<std::uint64_t>(kConns));
+}
+
+// ----------------------------------------------------------- process shards
+//
+// The fleet over process shards. Each shard is a Server behind an
+// EventLoopServer on an ephemeral port, which is what a forked serverd
+// shard runs, so the fleet reaches it over the real binary wire without a
+// fork.
+
+EventLoopServer::Dispatch dispatch_to(ShardFleet& fleet) {
+  return [&fleet](Request req, EventLoopServer::Completion done) {
+    fleet.submit_with(std::move(req), std::move(done));
+  };
+}
+
+EventLoopServer::BatchDispatch batch_dispatch_to(ShardFleet& fleet) {
+  return [&fleet](std::vector<Request> batch,
+                  EventLoopServer::BatchCompletion done) {
+    fleet.submit_batch_with(std::move(batch), std::move(done));
+  };
+}
+
+struct ShardProcesses {
+  ShardProcesses(const std::string& name, std::size_t n)
+      : dir(test::scratch_dir(name)), registry(dir) {
+    ml::save_gb(fleet_gb(), registry.artifact_path("aurora", "gb"));
+    ServeOptions opt;
+    opt.threads = 2;
+    std::vector<int> ports;
+    for (std::size_t i = 0; i < n; ++i) {
+      Server& server = *servers.emplace_back(
+          std::make_unique<Server>(registry, opt));
+      listeners.push_back(std::make_unique<EventLoopServer>(
+          [&server](Request req, EventLoopServer::Completion done) {
+            server.submit_with(std::move(req), std::move(done));
+          },
+          [&server](std::vector<Request> batch,
+                    EventLoopServer::BatchCompletion done) {
+            server.submit_batch_with(std::move(batch), std::move(done));
+          }));
+      ports.push_back(listeners.back()->port());
+    }
+    FleetOptions fopt;
+    fopt.serve.threads = 2;
+    fleet = std::make_unique<ShardFleet>(ports, fopt);
+  }
+
+  std::string dir;
+  ModelRegistry registry;
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<std::unique_ptr<EventLoopServer>> listeners;
+  std::unique_ptr<ShardFleet> fleet;  ///< destroyed first
+};
+
+Response submit_and_wait(ShardFleet& fleet, Request req) {
+  std::promise<Response> answer;
+  std::future<Response> future = answer.get_future();
+  fleet.submit_with(std::move(req),
+                    [&answer](Response r) { answer.set_value(std::move(r)); });
+  return future.get();
+}
+
+/// Byte-identical protocol answers; only the cache_hit flag may differ.
+void expect_same_answer(Response a, Response b) {
+  a.cache_hit = b.cache_hit = false;
+  EXPECT_EQ(format_response(a), format_response(b));
+}
+
+TEST(ProcessShardTest, AnswersMatchInProcessShardsBitIdentically) {
+  ShardProcesses p("process_identical", 3);
+  FleetOptions opt;
+  opt.shards = 3;
+  FleetFixture local("process_identical_local", opt);
+  for (const auto& [o, v] : kProblems) {
+    for (const Op op : {Op::kStq, Op::kBq}) {
+      Request req = stq(o, v);
+      req.op = op;
+      const Response remote = submit_and_wait(*p.fleet, req);
+      ASSERT_TRUE(remote.ok) << remote.error;
+      expect_same_answer(remote, local.fleet->handle(req));
+      expect_same_answer(p.fleet->handle(req), remote);
+    }
+  }
+  EXPECT_EQ(p.fleet->counters().failovers, 0u);
+  EXPECT_EQ(p.fleet->counters().alive, 3u);
+}
+
+TEST(ProcessShardTest, StatsInABinaryFrameMergesEveryLiveShard) {
+  ShardProcesses p("process_stats", 2);
+  EventLoopServer router(dispatch_to(*p.fleet), batch_dispatch_to(*p.fleet));
+  TestClient client(router.port());
+  Request stats;
+  stats.op = Op::kStats;
+  stats.id = "s";
+  Request question = stq(134, 951);
+  question.id = "q";
+  client.send(wire::encode_request_frame({stats, question}));
+  const std::vector<Response> replies = client.read_frame();
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_TRUE(replies[0].has_stats) << replies[0].error;
+  EXPECT_EQ(replies[0].id, "s");
+  // The fan-out sends one stats request to each shard, and each shard's
+  // snapshot counts its own request, queued while it answers: one shard
+  // alone would report 1 of each.
+  EXPECT_EQ(replies[0].stats.requests, 2u);
+  EXPECT_EQ(replies[0].stats.queue_depth, 2u);
+  EXPECT_EQ(replies[1].id, "q");
+  ASSERT_TRUE(replies[1].ok) << replies[1].error;
+  expect_same_answer(replies[1], p.fleet->handle(question));
+
+  // The same request as a JSON line merges the same way: the sum of what
+  // the shards themselves report once they are idle.
+  client.send(format_request(stats) + "\n");
+  const auto line = parse_record(client.read_line());
+  EXPECT_EQ(line.at("requests"),
+            std::to_string(p.servers[0]->stats().requests +
+                           p.servers[1]->stats().requests));
+}
+
+TEST(ProcessShardTest, ADestroyedShardIsMarkedDeadAndFailsOverInRingOrder) {
+  ShardProcesses p("process_failover", 3);
+  const Request req = stq(134, 951);
+  const int owner = p.fleet->route_of(req);
+  ASSERT_GE(owner, 0);
+  const Response before = submit_and_wait(*p.fleet, req);
+  ASSERT_TRUE(before.ok) << before.error;
+
+  HashRing ring;
+  for (int s = 0; s < 3; ++s) ring.add(s);
+  const std::vector<int> prefs =
+      ring.preference(HashRing::request_key(req, "aurora", "gb"), 3);
+  ASSERT_EQ(prefs[0], owner);
+  const auto next = static_cast<std::size_t>(prefs[1]);
+  const std::uint64_t next_requests = p.servers[next]->stats().requests;
+
+  // The owner's process goes away with its pooled connection open.
+  p.listeners[static_cast<std::size_t>(owner)].reset();
+  const Response after = submit_and_wait(*p.fleet, req);
+  ASSERT_TRUE(after.ok) << after.error;
+  expect_same_answer(after, before);
+  EXPECT_FALSE(p.fleet->alive(static_cast<std::size_t>(owner)));
+  EXPECT_EQ(p.servers[next]->stats().requests, next_requests + 1);
+  EXPECT_EQ(p.fleet->route_of(req), prefs[1]);
+  EXPECT_GE(p.fleet->counters().failovers, 1u);
+  EXPECT_EQ(p.fleet->counters().alive, 2u);
+
+  // Stats merge the live shards only.
+  Request stats;
+  stats.op = Op::kStats;
+  const Response merged = p.fleet->handle(stats);
+  ASSERT_TRUE(merged.has_stats) << merged.error;
+  std::uint64_t live_requests = 0;
+  for (const int s : prefs) {
+    if (s != owner) {
+      live_requests += p.servers[static_cast<std::size_t>(s)]->stats().requests;
+    }
+  }
+  EXPECT_EQ(merged.stats.requests, live_requests);
+}
+
+// A frame holding a stats record is not answered on the calling thread:
+// in serverd that is the event loop thread, which would otherwise wait out
+// every sweep in the frame.
+TEST(ShardFleetTest, AFrameHoldingStatsIsAnsweredOffTheCallersThread) {
+  FaultOptions fopt;
+  fopt.sweep_delay = 1.0;
+  fopt.sweep_delay_ms = 200.0;  // 100-300 ms with the injector's jitter
+  FaultInjector fault(fopt);
+  FleetOptions opt;
+  opt.shards = 2;
+  opt.serve.fault_injector = &fault;
+  FleetFixture f("stats_frame", opt);
+
+  Request stats;
+  stats.op = Op::kStats;
+  std::promise<std::vector<Response>> answered;
+  std::future<std::vector<Response>> future = answered.get_future();
+  std::atomic<bool> done{false};
+  const auto start = std::chrono::steady_clock::now();
+  f.fleet->submit_batch_with({stats, stq(134, 951)},
+                             [&](std::vector<Response> out) {
+                               done.store(true);
+                               answered.set_value(std::move(out));
+                             });
+  const std::chrono::duration<double, std::milli> returned =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(done.load()) << "the frame was answered on the caller's thread";
+  EXPECT_LT(returned.count(), 50.0);
+
+  const std::vector<Response> out = future.get();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(out[0].has_stats);
+  EXPECT_TRUE(out[1].ok) << out[1].error;
+  EXPECT_EQ(fault.injected(FaultPoint::kSweepCompute), 1u);
 }
 
 }  // namespace

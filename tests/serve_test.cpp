@@ -973,7 +973,6 @@ TEST(ServerRobustnessTest, FailedReloadServesStaleAnswers) {
   EXPECT_EQ(rec.at("stale_served"), "2");
   EXPECT_EQ(rec.at("deadline_exceeded"), "0");
   EXPECT_EQ(rec.at("shed"), "0");
-  EXPECT_EQ(rec.at("retries"), "0");
 }
 
 // -------------------------------------- robustness: queue depth accounting
@@ -1493,7 +1492,7 @@ constexpr const char* kFullJson =
     "\"cache_hits\":105,\"cache_misses\":106,\"cache_evictions\":107,"
     "\"cache_hit_rate\":0.4976525822,\"cache_size\":108,"
     "\"queue_depth\":109,\"deadline_exceeded\":110,\"shed\":111,"
-    "\"stale_served\":112,\"reload_failures\":113,\"retries\":114,"
+    "\"stale_served\":112,\"reload_failures\":113,"
     "\"models_loaded\":115,\"models_trained\":116,"
     "\"latency_p50_ms\":1.25,\"latency_p95_ms\":2.5,"
     "\"latency_mean_ms\":0.3333333333,\"batched_requests\":117,"
@@ -1527,7 +1526,7 @@ constexpr const char* kSparseJson =
     "\"errors\":0,\"sweeps_computed\":0,\"coalesced\":0,\"cache_hits\":0,"
     "\"cache_misses\":0,\"cache_evictions\":0,\"cache_hit_rate\":0.5,"
     "\"cache_size\":0,\"queue_depth\":0,\"deadline_exceeded\":0,"
-    "\"shed\":0,\"stale_served\":0,\"reload_failures\":0,\"retries\":0,"
+    "\"shed\":0,\"stale_served\":0,\"reload_failures\":0,"
     "\"models_loaded\":0,\"models_trained\":0,\"latency_p50_ms\":0,"
     "\"latency_p95_ms\":0,\"latency_mean_ms\":0,\"batched_requests\":0,"
     "\"batch_flushes\":0,\"batch_bypass\":0,\"batch_size_p50\":0,"
@@ -1535,27 +1534,27 @@ constexpr const char* kSparseJson =
     "\"lat_bq_p50_ms\":0.5,\"lat_bq_p95_ms\":0,\"lat_bq_p99_ms\":3.75,"
     "\"lat_bq_max_ms\":0}";
 constexpr const char* kFullFrame =
-    "c343504201010100450200002105000000737461747306000000676f6c64656e"
+    "c3435042010101003d0200002105000000737461747306000000676f6c64656e"
     "0000000000000000650000000000000066000000000000006700000000000000"
     "680000000000000069000000000000006a000000000000006b00000000000000"
     "b56954378ad9df3f6c000000000000006d000000000000006e00000000000000"
-    "6f00000000000000700000000000000071000000000000007200000000000000"
-    "73000000000000007400000000000000000000000000f43f0000000000000440"
-    "555555555555d53f750000000000000076000000000000007700000000000000"
-    "0000000000000e400000000000001e407800000000000000c800000000000000"
-    "0000000000402440000000000080244000000000000025400000000000802540"
-    "c900000000000000000000000020344000000000004034400000000000803440"
-    "0000000000c03440ca000000000000000000000000203e400000000000403e40"
-    "0000000000803e400000000000c03e40cb000000000000000000000000104440"
-    "000000000020444000000000004044400000000000604440cc00000000000000"
-    "0000000000104940000000000020494000000000004049400000000000604940"
-    "cd000000000000000000000000104e400000000000204e400000000000404e40"
-    "0000000000604e40012d010000000000002e010000000000002f010000000000"
-    "0030010000000000003101000000000000000000000000b03f32010000000000"
-    "0033010000000000003401000000000000350100000000000036010000000000"
-    "0037010000000000003801000000000000";
+    "6f00000000000000700000000000000071000000000000007300000000000000"
+    "7400000000000000000000000000f43f0000000000000440555555555555d53f"
+    "7500000000000000760000000000000077000000000000000000000000000e40"
+    "0000000000001e407800000000000000c8000000000000000000000000402440"
+    "000000000080244000000000000025400000000000802540c900000000000000"
+    "0000000000203440000000000040344000000000008034400000000000c03440"
+    "ca000000000000000000000000203e400000000000403e400000000000803e40"
+    "0000000000c03e40cb0000000000000000000000001044400000000000204440"
+    "00000000004044400000000000604440cc000000000000000000000000104940"
+    "000000000020494000000000004049400000000000604940cd00000000000000"
+    "0000000000104e400000000000204e400000000000404e400000000000604e40"
+    "012d010000000000002e010000000000002f0100000000000030010000000000"
+    "003101000000000000000000000000b03f320100000000000033010000000000"
+    "0034010000000000003501000000000000360100000000000037010000000000"
+    "003801000000000000";
 constexpr const char* kSparseFrame =
-    "c343504201010100dd0100002105000000737461747306000000676f6c64656e"
+    "c343504201010100d50100002105000000737461747306000000676f6c64656e"
     "0000000000000000070000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "000000000000e03f000000000000000000000000000000000000000000000000"
@@ -1563,14 +1562,14 @@ constexpr const char* kSparseFrame =
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
-    "0000000000000000000000000000000000000000000000000000000000000000"
-    "0700000000000000000000000000e03f00000000000000000000000000000e40"
-    "0000000000000000000000000000000000000000000000000000000000000000"
-    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000700000000000000"
+    "000000000000e03f00000000000000000000000000000e400000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
-    "000000000000000000";
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00";
 
 TEST(ServerStatsTest, StatsEncodingsMatchGoldenBytes) {
   EXPECT_EQ(format_response(stats_response_of(test::full_stats())),

@@ -118,7 +118,6 @@ inline serve::ServerStats full_stats() {
   s.shed = 111;
   s.stale_served = 112;
   s.reload_failures = 113;
-  s.retries = 114;
   s.models_loaded = 115;
   s.models_trained = 116;
   s.latency_p50_ms = 1.25;

@@ -22,14 +22,14 @@
 ///       listen(2) queue (default SOMAXCONN). EOF on stdin shuts the
 ///       server down and prints a final stats line to stderr.
 ///
-///       --fleet N forks N shard processes listening on ports P+1..P+N,
-///       each a full Server over the shared artifacts directory; the
-///       parent becomes a consistent-hash router on P, forwarding every
-///       request to the shard owning its (machine, model, O, V) key over
-///       pooled binary-wire connections, failing over to the next shard
-///       in ring order if a shard dies. Pre-train artifacts first so the
-///       shards start instantly and answer reproducibly. `stats` fans out
-///       to every live shard and aggregates.
+///       --fleet N forks N shard processes, each a `serve` on port P+i
+///       over the shared artifacts directory, and serves P through the
+///       one fleet router (serve/fleet.hpp): every request, and every
+///       binary frame by its first record, goes to the shard owning its
+///       (machine, model, O, V) key over a pooled binary-wire connection,
+///       failing over in ring order if a shard dies; `stats` merges every
+///       live shard. Round trips run on --threads router workers (0 = 4).
+///       Pre-train artifacts so shards start instantly and reproducibly.
 ///
 ///       --max-queue bounds each worker backlog: beyond it, requests are
 ///       answered immediately with code="overloaded" (the event loop
@@ -47,8 +47,6 @@
 /// `serve` works on an empty directory — pre-train with `train` to make
 /// startup instant and answers reproducible across deployments.
 
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -57,26 +55,19 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "ccpred/common/error.hpp"
 #include "ccpred/common/strings.hpp"
-#include "ccpred/common/thread_pool.hpp"
 #include "ccpred/serve/event_loop.hpp"
 #include "ccpred/serve/fault_injector.hpp"
 #include "ccpred/serve/fleet.hpp"
 #include "ccpred/serve/model_registry.hpp"
 #include "ccpred/serve/server.hpp"
-#include "ccpred/serve/wire.hpp"
 
 namespace {
 
@@ -136,11 +127,12 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// One protocol line in, one response line out (used by the stdin
-/// --serial path).
-std::string answer_line(serve::Server& server, const std::string& line) {
+/// One protocol line in, one response line out (the stdin --serial path
+/// of a Server, the stdin side channel of a fleet).
+template <class Target>
+std::string answer_line(Target& target, const std::string& line) {
   try {
-    return serve::format_response(server.handle(serve::parse_request(line)));
+    return serve::format_response(target.handle(serve::parse_request(line)));
   } catch (const std::exception& e) {
     return serve::format_response(serve::error_response(e.what()));
   }
@@ -241,21 +233,22 @@ serve::EventLoopOptions event_loop_options_from_flags(
   return opt;
 }
 
-/// Event-loop dispatch callbacks bound to one Server: single requests go
-/// through submit_with, whole binary frames through submit_batch_with (one
-/// pool hand-off per frame).
-serve::EventLoopServer::Dispatch make_dispatch(serve::Server& server) {
-  return [&server](serve::Request request,
+/// Event-loop dispatch callbacks bound to one Server or one ShardFleet:
+/// single requests go through submit_with, whole binary frames through
+/// submit_batch_with (one hand-off per frame).
+template <class Target>
+serve::EventLoopServer::Dispatch make_dispatch(Target& target) {
+  return [&target](serve::Request request,
                    serve::EventLoopServer::Completion done) {
-    server.submit_with(std::move(request), std::move(done));
+    target.submit_with(std::move(request), std::move(done));
   };
 }
 
-serve::EventLoopServer::BatchDispatch make_batch_dispatch(
-    serve::Server& server) {
-  return [&server](std::vector<serve::Request> batch,
+template <class Target>
+serve::EventLoopServer::BatchDispatch make_batch_dispatch(Target& target) {
+  return [&target](std::vector<serve::Request> batch,
                    serve::EventLoopServer::BatchCompletion done) {
-    server.submit_batch_with(std::move(batch), std::move(done));
+    target.submit_batch_with(std::move(batch), std::move(done));
   };
 }
 
@@ -280,260 +273,21 @@ void print_final_stats(const serve::ServerStats& s) {
                static_cast<unsigned long long>(s.errors),
                static_cast<unsigned long long>(s.sweeps_computed),
                s.cache_hit_rate, s.latency_p50_ms, s.latency_p95_ms);
-  if (s.deadline_exceeded + s.shed + s.stale_served + s.reload_failures +
-          s.retries >
-      0) {
-    std::fprintf(
-        stderr,
-        "degraded: %llu deadline, %llu shed, %llu stale, %llu reload "
-        "failures, %llu retries\n",
-        static_cast<unsigned long long>(s.deadline_exceeded),
-        static_cast<unsigned long long>(s.shed),
-        static_cast<unsigned long long>(s.stale_served),
-        static_cast<unsigned long long>(s.reload_failures),
-        static_cast<unsigned long long>(s.retries));
+  if (s.deadline_exceeded + s.shed + s.stale_served + s.reload_failures > 0) {
+    std::fprintf(stderr,
+                 "degraded: %llu deadline, %llu shed, %llu stale, %llu reload "
+                 "failures\n",
+                 static_cast<unsigned long long>(s.deadline_exceeded),
+                 static_cast<unsigned long long>(s.shed),
+                 static_cast<unsigned long long>(s.stale_served),
+                 static_cast<unsigned long long>(s.reload_failures));
   }
 }
 
 // ---------------------------------------------------------------------------
-// --fleet mode: shard child processes + parent consistent-hash router.
+// --fleet mode: shard child processes behind a ShardFleet in the parent.
 
-/// Body of one forked shard process: a full Server on its own port. Blocks
-/// until the parent closes the shutdown pipe (EOF), then tears down. Never
-/// touches stdin/stdout — those belong to the parent.
-int run_fleet_child(const std::map<std::string, std::string>& flags,
-                    int shard_index, int port, int shutdown_fd) {
-  serve::ModelRegistry registry(need(flags, "artifacts"),
-                                registry_options(flags));
-  const auto fault = fault_injector_from_flags(flags);
-  registry.set_fault_injector(fault.get());
-  serve::ServeOptions opt = serve_options_from_flags(flags);
-  opt.fault_injector = fault.get();
-  serve::Server server(registry, opt);
-  serve::EventLoopServer listener(make_dispatch(server),
-                                  make_batch_dispatch(server),
-                                  event_loop_options_from_flags(flags, port));
-  server.set_overflow_source(
-      [&listener] { return listener.stats().overflow_closes; });
-  std::fprintf(stderr, "ccpred_serverd shard %d listening on 127.0.0.1:%d\n",
-               shard_index, port);
-  char byte = 0;
-  while (true) {
-    const ssize_t n = ::read(shutdown_fd, &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    break;  // EOF (or error): the parent is shutting down or gone.
-  }
-  ::close(shutdown_fd);
-  return 0;
-}
-
-/// Parent-side request router: forwards to shard processes over pooled
-/// binary-wire connections, one per shard, routed by the same consistent-
-/// hash ring the in-process ShardFleet uses (both sides derive the ring
-/// from the shard count alone, so they agree without coordination).
-///
-/// A shard that fails a round trip — connect timeout, mid-frame EOF,
-/// malformed reply — is treated as crashed: marked dead and skipped by
-/// every later request, which fails over to the next shard in ring order.
-/// Process respawn is an operator concern (the in-process fleet covers
-/// restart semantics); when every shard is dead, requests are answered
-/// code="unavailable".
-class FleetRouter {
- public:
-  FleetRouter(std::vector<int> ports, std::string default_machine,
-              std::string default_model)
-      : default_machine_(std::move(default_machine)),
-        default_model_(std::move(default_model)) {
-    for (std::size_t i = 0; i < ports.size(); ++i) {
-      ring_.add(static_cast<int>(i));
-      remotes_.push_back(std::make_unique<Remote>(ports[i]));
-    }
-  }
-
-  ~FleetRouter() {
-    for (auto& remote : remotes_) {
-      std::lock_guard<std::mutex> lock(remote->mutex);
-      if (remote->fd >= 0) ::close(remote->fd);
-    }
-  }
-
-  /// Routes one request to its shard (stats fan out and aggregate).
-  serve::Response forward(const serve::Request& request) {
-    if (request.op == serve::Op::kStats) return stats_response(request);
-    std::vector<serve::Request> one(1, request);
-    std::vector<serve::Response> replies = forward_batch(std::move(one));
-    return replies.at(0);
-  }
-
-  /// Routes a whole frame by its first record's key — clients batch by
-  /// destination, so this preserves cache locality; mixed frames are still
-  /// answered correctly by whichever shard receives them.
-  std::vector<serve::Response> forward_batch(
-      std::vector<serve::Request> batch) {
-    if (batch.empty()) return {};
-    const std::uint64_t key = serve::HashRing::request_key(
-        batch.front(), default_machine_, default_model_);
-    const std::vector<int> prefs = ring_.preference(key, remotes_.size());
-    for (std::size_t k = 0; k < prefs.size(); ++k) {
-      const auto shard = static_cast<std::size_t>(prefs[k]);
-      Remote& remote = *remotes_[shard];
-      if (!remote.alive.load(std::memory_order_acquire)) continue;
-      try {
-        std::vector<serve::Response> replies = exchange(remote, batch);
-        CCPRED_CHECK_MSG(replies.size() == batch.size(),
-                         "shard answered " << replies.size() << " records for "
-                                           << batch.size());
-        if (k > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
-        forwarded_.fetch_add(batch.size(), std::memory_order_relaxed);
-        return replies;
-      } catch (const std::exception& e) {
-        mark_dead(shard, e.what());
-      }
-    }
-    std::vector<serve::Response> failed;
-    failed.reserve(batch.size());
-    for (const serve::Request& request : batch) {
-      failed.push_back(serve::error_response("no live shard",
-                                             serve::op_name(request.op),
-                                             request.id, "unavailable"));
-    }
-    return failed;
-  }
-
-  std::uint64_t forwarded() const {
-    return forwarded_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t failovers() const {
-    return failovers_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Remote {
-    explicit Remote(int p) : port(p) {}
-    const int port;
-    std::mutex mutex;  ///< serializes the fd's request/response round trips
-    int fd = -1;       ///< pooled connection, opened lazily
-    std::atomic<bool> alive{true};
-  };
-
-  void mark_dead(std::size_t shard, const char* why) {
-    Remote& remote = *remotes_[shard];
-    std::lock_guard<std::mutex> lock(remote.mutex);
-    if (remote.fd >= 0) ::close(remote.fd);
-    remote.fd = -1;
-    if (remote.alive.exchange(false, std::memory_order_acq_rel)) {
-      std::fprintf(stderr, "fleet router: shard on port %d marked dead: %s\n",
-                   remote.port, why);
-    }
-  }
-
-  /// One frame out, one frame back, under the remote's mutex. Throws on
-  /// any connect/IO/protocol failure; the caller turns that into a death.
-  std::vector<serve::Response> exchange(
-      Remote& remote, const std::vector<serve::Request>& batch) {
-    std::lock_guard<std::mutex> lock(remote.mutex);
-    if (remote.fd < 0) remote.fd = connect_with_retry(remote.port);
-    send_all(remote.fd, serve::wire::encode_request_frame(batch));
-    return read_response_frame(remote.fd);
-  }
-
-  /// Shards train missing artifacts on first use, so the first connect can
-  /// race a multi-second startup: retry for up to ~60 s before declaring
-  /// the shard dead.
-  static int connect_with_retry(int port) {
-    for (int attempt = 0;; ++attempt) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      CCPRED_CHECK_MSG(fd >= 0, "cannot create router socket");
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      addr.sin_port = htons(static_cast<std::uint16_t>(port));
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-          0) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        return fd;
-      }
-      ::close(fd);
-      CCPRED_CHECK_MSG(attempt < 300,
-                       "cannot connect to shard on port " << port);
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    }
-  }
-
-  static void send_all(int fd, const std::string& bytes) {
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      CCPRED_CHECK_MSG(n > 0, "shard connection lost mid-send");
-      sent += static_cast<std::size_t>(n);
-    }
-  }
-
-  static std::vector<serve::Response> read_response_frame(int fd) {
-    std::string buf;
-    char chunk[65536];
-    serve::wire::FrameHeader header;
-    while (true) {
-      std::string error;
-      const serve::wire::FrameStatus status = serve::wire::probe_frame(
-          reinterpret_cast<const unsigned char*>(buf.data()), buf.size(),
-          &header, &error);
-      CCPRED_CHECK_MSG(status != serve::wire::FrameStatus::kBad,
-                       "shard protocol error: " << error);
-      if (status == serve::wire::FrameStatus::kHeader &&
-          buf.size() >= serve::wire::kHeaderBytes + header.payload_bytes) {
-        // Round trips are serialized per connection, so nothing may follow
-        // the frame.
-        CCPRED_CHECK_MSG(
-            buf.size() == serve::wire::kHeaderBytes + header.payload_bytes,
-            "unexpected bytes after shard response frame");
-        return serve::wire::decode_response_frame(
-            header, reinterpret_cast<const unsigned char*>(buf.data()) +
-                        serve::wire::kHeaderBytes);
-      }
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n < 0 && errno == EINTR) continue;
-      CCPRED_CHECK_MSG(n > 0, "shard connection closed mid-frame");
-      buf.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// Fans a stats request out to every live shard and merges the replies
-  /// with the same merge_stats the in-process fleet uses. Each shard
-  /// process owns its registry, so registry counters sum.
-  serve::Response stats_response(const serve::Request& request) {
-    std::vector<serve::ServerStats> shards;
-    for (std::size_t shard = 0; shard < remotes_.size(); ++shard) {
-      Remote& remote = *remotes_[shard];
-      if (!remote.alive.load(std::memory_order_acquire)) continue;
-      try {
-        const std::vector<serve::Response> replies =
-            exchange(remote, {request});
-        if (replies.size() == 1 && replies[0].ok && replies[0].has_stats) {
-          shards.push_back(replies[0].stats);
-        }
-      } catch (const std::exception& e) {
-        mark_dead(shard, e.what());
-      }
-    }
-    if (shards.empty()) {
-      return serve::error_response("no live shard",
-                                   serve::op_name(serve::Op::kStats),
-                                   request.id, "unavailable");
-    }
-    return serve::stats_response(request.id, serve::merge_stats(shards));
-  }
-
-  const std::string default_machine_;
-  const std::string default_model_;
-  serve::HashRing ring_;
-  std::vector<std::unique_ptr<Remote>> remotes_;
-  std::atomic<std::uint64_t> forwarded_{0};
-  std::atomic<std::uint64_t> failovers_{0};
-};
+int cmd_serve(const std::map<std::string, std::string>& flags);
 
 int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
                     int shards) {
@@ -555,11 +309,18 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
     const pid_t pid = ::fork();
     CCPRED_CHECK_MSG(pid >= 0, "fork failed");
     if (pid == 0) {
+      // A shard is a plain `serve` on its own port whose stdin is the
+      // shutdown pipe: EOF, once the parent closes it, shuts it down.
+      ::dup2(pipe_fds[0], STDIN_FILENO);
+      ::close(pipe_fds[0]);
       ::close(pipe_fds[1]);
       for (const int fd : shutdown_fds) ::close(fd);
+      std::map<std::string, std::string> shard_flags = flags;
+      shard_flags.erase("fleet");
+      shard_flags["port"] = std::to_string(child_port);
       int code = 1;
       try {
-        code = run_fleet_child(flags, i, child_port, pipe_fds[0]);
+        code = cmd_serve(shard_flags);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "shard %d: fatal: %s\n", i, e.what());
       }
@@ -572,80 +333,33 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
     pids.push_back(pid);
   }
 
-  FleetRouter router(child_ports, get_or(flags, "default-machine", "aurora"),
-                     get_or(flags, "default-model", "gb"));
   {
-    // Forwarding blocks on child round trips, so it runs on a small pool,
-    // never on the loop thread. Pool before listener: dispatched tasks may
-    // outlive the listener's destructor, and completions landing after it
-    // are dropped by the loop's closed sink.
-    const auto threads =
-        static_cast<std::size_t>(parse_int(get_or(flags, "threads", "0")));
-    ThreadPool forward_pool(threads == 0 ? 4 : threads);
-    const auto dispatch = [&router, &forward_pool](
-                              serve::Request request,
-                              serve::EventLoopServer::Completion done) {
-      forward_pool.post([&router, request = std::move(request),
-                         done = std::move(done)]() mutable {
-        serve::Response response;
-        try {
-          response = router.forward(request);
-        } catch (const std::exception& e) {
-          response = serve::error_response(e.what(),
-                                           serve::op_name(request.op),
-                                           request.id, "internal");
-        }
-        done(std::move(response));
-      });
-    };
-    const auto batch_dispatch =
-        [&router, &forward_pool](
-            std::vector<serve::Request> batch,
-            serve::EventLoopServer::BatchCompletion done) {
-          forward_pool.post([&router, batch = std::move(batch),
-                             done = std::move(done)]() mutable {
-            std::vector<serve::Response> replies;
-            try {
-              replies = router.forward_batch(std::move(batch));
-            } catch (const std::exception& e) {
-              replies.assign(1, serve::error_response(e.what(), "", "",
-                                                      "internal"));
-            }
-            done(std::move(replies));
-          });
-        };
+    // Fleet before listener: its router pool drains after the listener
+    // stops, whose closed sink drops completions landing after that.
+    serve::ShardFleet fleet(child_ports,
+                            {.serve = serve_options_from_flags(flags)});
     serve::EventLoopServer listener(
-        dispatch, batch_dispatch,
+        make_dispatch(fleet), make_batch_dispatch(fleet),
         event_loop_options_from_flags(flags, base_port));
     std::fprintf(stderr,
                  "ccpred_serverd fleet router on 127.0.0.1:%d "
                  "(%d shards on %d..%d)\n",
                  base_port, shards, base_port + 1, base_port + shards);
 
-    // stdin side channel: route lines serially through the router.
+    // stdin side channel: route lines serially through the fleet.
     std::string line;
     while (std::getline(std::cin, line)) {
       if (trim(line).empty()) continue;
-      serve::Response response;
-      try {
-        response = router.forward(serve::parse_request(line));
-      } catch (const std::exception& e) {
-        response = serve::error_response(e.what());
-      }
-      std::cout << serve::format_response(response) << '\n';
+      std::cout << answer_line(fleet, line) << '\n';
     }
     std::cout.flush();
 
-    serve::Request stats_request;
-    stats_request.op = serve::Op::kStats;
-    const serve::Response final_stats = router.forward(stats_request);
-    if (final_stats.has_stats) print_final_stats(final_stats.stats);
-    std::fprintf(stderr,
-                 "fleet router: %llu forwarded, %llu failovers\n",
-                 static_cast<unsigned long long>(router.forwarded()),
-                 static_cast<unsigned long long>(router.failovers()));
+    print_final_stats(fleet.aggregated_stats());
+    const serve::FleetCounters c = fleet.counters();
+    std::fprintf(stderr, "fleet router: %llu forwarded, %llu failovers\n",
+                 static_cast<unsigned long long>(c.routed),
+                 static_cast<unsigned long long>(c.failovers));
     print_loop_stats(listener);
-    // Scope end: listener stops accepting, then the forward pool drains.
   }
 
   for (const int fd : shutdown_fds) ::close(fd);
