@@ -108,18 +108,6 @@ void BatchScheduler::flusher_loop() {
   }
 }
 
-BatchScheduler::Flush::Flush(std::size_t n) {
-  requests.reserve(n);
-  deadlines.reserve(n);
-  dones.reserve(n);
-}
-
-void BatchScheduler::Flush::add(Pending& p) {
-  requests.push_back(std::move(p.request));
-  deadlines.push_back(p.deadline);
-  dones.push_back(std::move(p.done));
-}
-
 void BatchScheduler::flush_locked() {
   // A size-capped flush boards the tightest deadlines first (EDF); the
   // rest stay queued in that order for the next flush. With no deadline

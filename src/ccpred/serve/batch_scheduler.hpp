@@ -106,8 +106,16 @@ class BatchScheduler {
     std::vector<Clock::time_point> deadlines;
     std::vector<std::function<void(Response)>> dones;
 
-    explicit Flush(std::size_t n);
-    void add(Pending& p);
+    explicit Flush(std::size_t n) {
+      requests.reserve(n);
+      deadlines.reserve(n);
+      dones.reserve(n);
+    }
+    void add(Pending& p) {
+      requests.push_back(std::move(p.request));
+      deadlines.push_back(p.deadline);
+      dones.push_back(std::move(p.done));
+    }
   };
 
   void flusher_loop();

@@ -22,14 +22,15 @@ using Frame = std::vector<Request>;
 using FrameDone = std::function<void(std::vector<Response>)>;
 
 /// A fleet member's transport. submit() hands a frame over: `done` then
-/// runs exactly once, on a shard worker or before submit() returns. A
-/// shard that cannot be reached answers false (or nullopt) instead,
-/// leaving the arguments untouched; the fleet marks it dead and walks on.
+/// runs exactly once, on a shard worker or before submit() returns.
+/// stats() answers a stats probe, shed ones without a snapshot. A shard
+/// that cannot be reached answers false (or nullopt) instead, leaving the
+/// arguments untouched; the fleet marks it dead and walks on.
 class Shard {
  public:
   virtual ~Shard() = default;
   virtual bool submit(Frame& batch, FrameDone& done) = 0;
-  virtual std::optional<ServerStats> stats() = 0;
+  virtual std::optional<Response> stats() = 0;
 };
 
 namespace {
@@ -68,7 +69,9 @@ class LocalShard final : public Shard {
     server_.submit_batch_with(std::move(batch), std::move(done));
     return true;
   }
-  std::optional<ServerStats> stats() override { return server_.stats(); }
+  std::optional<Response> stats() override {
+    return stats_response("", server_.stats());
+  }
 
  private:
   Server server_;
@@ -153,11 +156,11 @@ class ProcessShard final : public Shard {
     return replies.has_value();
   }
 
-  std::optional<ServerStats> stats() override {
+  std::optional<Response> stats() override {
     // A default Request is a stats request.
-    const std::optional<std::vector<Response>> reply = exchange({Request{}});
-    if (!reply || !reply->front().has_stats) return std::nullopt;
-    return reply->front().stats;
+    std::optional<std::vector<Response>> reply = exchange({Request{}});
+    if (!reply) return std::nullopt;
+    return std::move(reply->front());
   }
 
  private:
@@ -249,33 +252,38 @@ std::uint64_t HashRing::request_key(const Request& request,
 }
 
 ShardFleet::ShardFleet(ModelRegistry& registry, FleetOptions options)
-    : options_(std::move(options)),
-      registry_(&registry),
-      ring_(options_.vnodes),
-      router_pool_(1) {
-  add_slots(options_.shards);
-}
+    : ShardFleet(
+          options,
+          [&registry, serve = options.serve](std::size_t) {
+            return std::make_shared<LocalShard>(registry, serve);
+          },
+          &registry, /*blocking=*/false) {}
 
 ShardFleet::ShardFleet(std::vector<int> ports, FleetOptions options)
-    : options_(std::move(options)),
-      ports_(std::move(ports)),
-      ring_(options_.vnodes),
-      router_pool_(options_.serve.threads == 0 ? 4 : options_.serve.threads) {
-  add_slots(ports_.size());
-}
+    : ShardFleet(
+          (options.shards = ports.size(), options),
+          [ports](std::size_t i) {
+            return std::make_shared<ProcessShard>(ports[i]);
+          },
+          nullptr, /*blocking=*/true) {}
 
-void ShardFleet::add_slots(std::size_t shards) {
-  CCPRED_CHECK_MSG(shards > 0, "fleet needs at least one shard");
-  for (std::size_t i = 0; i < shards; ++i) {
+ShardFleet::ShardFleet(FleetOptions options, ShardFactory make_shard,
+                       ModelRegistry* shared_registry, bool blocking)
+    : options_(std::move(options)),
+      make_shard_(std::move(make_shard)),
+      shared_registry_(shared_registry),
+      blocking_(blocking),
+      ring_(options_.vnodes),
+      // An in-process fleet routes only frames holding stats on it.
+      router_pool_(!blocking_                    ? 1
+                   : options_.serve.threads > 0 ? options_.serve.threads
+                                                : 4) {
+  CCPRED_CHECK_MSG(options_.shards > 0, "fleet needs at least one shard");
+  for (std::size_t i = 0; i < options_.shards; ++i) {
     slots_.push_back(std::make_unique<Slot>());
-    slots_.back()->shard = make_shard(i);
+    slots_.back()->shard = make_shard_(i);
     ring_.add(static_cast<int>(i));
   }
-}
-
-std::shared_ptr<Shard> ShardFleet::make_shard(std::size_t i) const {
-  if (registry_ == nullptr) return std::make_shared<ProcessShard>(ports_[i]);
-  return std::make_shared<LocalShard>(*registry_, options_.serve);
 }
 
 std::shared_ptr<Shard> ShardFleet::pin(std::size_t i) const {
@@ -313,7 +321,7 @@ void ShardFleet::maybe_chaos(std::uint64_t key) {
 
 Response ShardFleet::handle(const Request& req) {
   if (req.op == Op::kStats) {
-    const std::optional<ServerStats> merged = fan_out_stats();
+    const std::optional<ServerStats> merged = aggregated_stats();
     return merged ? stats_response(req.id, *merged) : unavailable(req);
   }
   std::promise<std::vector<Response>> answer;
@@ -334,7 +342,7 @@ void ShardFleet::submit_with(Request req, std::function<void(Response)> done) {
 void ShardFleet::submit_batch_with(Frame batch, FrameDone done) {
   const auto is_stats = [](const Request& r) { return r.op == Op::kStats; };
   const bool stats = std::any_of(batch.begin(), batch.end(), is_stats);
-  if (!stats && registry_ != nullptr) {
+  if (!stats && !blocking_) {
     route_frame(std::move(batch), std::move(done));  // enqueues and returns
     return;
   }
@@ -342,12 +350,8 @@ void ShardFleet::submit_batch_with(Frame batch, FrameDone done) {
   // on the router pool; a frame holding stats answers record by record.
   router_pool_.post([this, stats, batch = std::move(batch),
                       done = std::move(done)]() mutable {
-    if (!stats) {
-      route_frame(std::move(batch), std::move(done));
-      return;
-    }
+    if (!stats) return route_frame(std::move(batch), std::move(done));
     std::vector<Response> out;
-    out.reserve(batch.size());
     for (const Request& r : batch) out.push_back(handle(r));
     done(std::move(out));
   });
@@ -377,7 +381,6 @@ void ShardFleet::route_frame(Frame batch, FrameDone done) {
   }
   unrouteable_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Response> out;
-  out.reserve(batch.size());
   for (const Request& r : batch) out.push_back(unavailable(r));
   done(std::move(out));
 }
@@ -385,9 +388,7 @@ void ShardFleet::route_frame(Frame batch, FrameDone done) {
 std::shared_ptr<Shard> ShardFleet::take(std::size_t i, const Shard* only) {
   Slot& slot = *slots_[i];
   const std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.shard == nullptr || (only != nullptr && slot.shard.get() != only)) {
-    return nullptr;
-  }
+  if (slot.shard.get() != only) return nullptr;
   slot.alive.store(false, std::memory_order_release);
   return std::move(slot.shard);
 }
@@ -403,7 +404,7 @@ bool ShardFleet::kill_shard(std::size_t i) {
   for (const auto& slot : slots_) {
     if (slot->alive.load(std::memory_order_acquire)) ++live;
   }
-  if (live <= 1 || (victim = take(i, nullptr)) == nullptr) return false;
+  if (live <= 1 || (victim = take(i, pin(i).get())) == nullptr) return false;
   kills_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -411,7 +412,7 @@ bool ShardFleet::kill_shard(std::size_t i) {
 bool ShardFleet::restart_shard(std::size_t i) {
   if (i >= slots_.size()) return false;
   // Built outside the locks: Server construction spawns worker pools.
-  std::shared_ptr<Shard> fresh = make_shard(i);
+  std::shared_ptr<Shard> fresh = make_shard_(i);
   const std::lock_guard<std::mutex> membership(membership_mutex_);
   Slot& slot = *slots_[i];
   const std::lock_guard<std::mutex> lock(slot.mutex);
@@ -447,31 +448,28 @@ FleetCounters ShardFleet::counters() const {
   return c;
 }
 
-std::optional<ServerStats> ShardFleet::fan_out_stats() {
+std::optional<ServerStats> ShardFleet::aggregated_stats() {
   std::vector<ServerStats> shards;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const std::shared_ptr<Shard> shard = pin(i);
     if (shard == nullptr) continue;
-    if (std::optional<ServerStats> s = shard->stats()) {
-      shards.push_back(*s);
-    } else {
-      take(i, shard.get());
+    std::optional<Response> reply = shard->stats();
+    if (!reply) {
+      take(i, shard.get());  // unreachable: dead from now on
+    } else if (reply->has_stats) {  // else shed: alive, just not merged
+      shards.push_back(std::move(reply->stats));
     }
   }
   if (shards.empty()) return std::nullopt;
   ServerStats total = merge_stats(shards);
-  if (registry_ != nullptr) {
+  if (shared_registry_ != nullptr) {
     // Every shard reports the one shared registry: count it once, not
     // once per shard.
-    total.reload_failures = registry_->reload_failures();
-    total.models_loaded = registry_->loads();
-    total.models_trained = registry_->trainings();
+    total.reload_failures = shared_registry_->reload_failures();
+    total.models_loaded = shared_registry_->loads();
+    total.models_trained = shared_registry_->trainings();
   }
   return total;
-}
-
-ServerStats ShardFleet::aggregated_stats() {
-  return fan_out_stats().value_or(ServerStats{});
 }
 
 }  // namespace ccpred::serve

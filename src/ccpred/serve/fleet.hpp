@@ -24,7 +24,8 @@
 /// Failure. Routing walks the key's preference list — the distinct shards
 /// in ring order after the owner — to the first live shard ("failover
 /// re-hash"); a shard process whose round trip fails is marked dead on the
-/// spot and the walk goes on. kill_shard() models a crashed worker (never
+/// spot and the walk goes on; one that sheds a stats probe is only left
+/// out of that merge. kill_shard() models a crashed worker (never
 /// the last live one); restart_shard() revives a slot with a fresh shard
 /// — a Server with an EMPTY cache that, because sweeps are deterministic,
 /// answers bit-identically, or a new connection to the slot's port. The
@@ -33,8 +34,9 @@
 ///
 /// Threads. submit_with/submit_batch_with never block their caller (the
 /// event loop thread in serverd): in-process shards enqueue on their own
-/// pools; round trips to shard processes and stats fan-outs run on the
-/// fleet's router pool.
+/// pools; round trips to shard processes and frames holding a stats
+/// record run on the fleet's router pool. Every record, handle()'s too,
+/// passes its shard's admission (and may answer `overloaded`).
 
 #include <atomic>
 #include <cstdint>
@@ -88,12 +90,12 @@ class HashRing {
   std::set<int> shards_;
 };
 
-/// Fleet construction knobs.
+/// Fleet construction knobs, the same for both shard kinds.
 struct FleetOptions {
-  std::size_t shards = 3;   ///< in-process shards
+  std::size_t shards = 3;   ///< the ports constructor takes one per port
   std::size_t vnodes = 64;  ///< ring points per shard
-  /// Every in-process Server; with shard processes, only the defaults and
-  /// `threads` (the router pool size, 0 = 4) apply.
+  /// The fleet routes by its defaults; in-process Servers are built with
+  /// all of it, and `threads` (0 = 4) sizes a process fleet's router pool.
   ServeOptions serve;
   /// Optional chaos source consulted once per routed request: kShardKill
   /// tears down the target shard (never the last live one), kShardRestart
@@ -112,8 +114,7 @@ struct FleetCounters {
   std::uint64_t unrouteable = 0;  ///< no live shard to answer
 };
 
-/// See file comment. Thread-safe: every method may be called from any
-/// number of threads.
+/// See file comment. Thread-safe: any method, from any thread.
 class ShardFleet {
  public:
   /// `options.shards` in-process Servers sharing one ModelRegistry (so
@@ -153,9 +154,10 @@ class ShardFleet {
   int route_of(const Request& request) const;
 
   FleetCounters counters() const;
-  /// merge_stats over the live shards. The registry counters of shards
-  /// sharing one registry are read once from it; shard processes sum.
-  ServerStats aggregated_stats();
+  /// merge_stats over the live shards' snapshots; nullopt if none answers
+  /// with one. Registry counters: a shared registry's are read once from
+  /// it; shard processes sum their own.
+  std::optional<ServerStats> aggregated_stats();
 
  private:
   struct Slot {
@@ -165,9 +167,13 @@ class ShardFleet {
     std::atomic<std::uint64_t> routed{0};
   };
 
-  void add_slots(std::size_t shards);
-  /// A fresh shard for slot i.
-  std::shared_ptr<Shard> make_shard(std::size_t i) const;
+  using ShardFactory = std::function<std::shared_ptr<Shard>(std::size_t)>;
+  /// The one place the transport is chosen: `make_shard` builds slot i's
+  /// shard, every shard reads `shared_registry` (unless null), and frames
+  /// for a `blocking` transport route on the router pool.
+  ShardFleet(FleetOptions options, ShardFactory make_shard,
+             ModelRegistry* shared_registry, bool blocking);
+
   /// Pins the slot's shard (or nullptr if dead).
   std::shared_ptr<Shard> pin(std::size_t i) const;
   /// First live shard in the key's preference list; -1 if none.
@@ -176,17 +182,16 @@ class ShardFleet {
   /// points, then the first live shard in ring order that takes it.
   void route_frame(std::vector<Request> batch,
                    std::function<void(std::vector<Response>)> done);
-  /// merge_stats over the shards that answered; nullopt if none did.
-  std::optional<ServerStats> fan_out_stats();
-  /// Removes slot i's shard (only if it is still `only`, when given) and
-  /// returns it, for the caller to destroy off every lock.
+  /// Removes slot i's shard if it is still `only`, and returns it for the
+  /// caller to destroy off every lock.
   std::shared_ptr<Shard> take(std::size_t i, const Shard* only);
   /// Consults the chaos points once per routed request.
   void maybe_chaos(std::uint64_t key);
 
   FleetOptions options_;
-  ModelRegistry* registry_ = nullptr;  ///< shared by in-process shards
-  std::vector<int> ports_;             ///< of shard processes
+  const ShardFactory make_shard_;
+  ModelRegistry* const shared_registry_;
+  const bool blocking_;
   HashRing ring_;
   std::vector<std::unique_ptr<Slot>> slots_;
   /// Serializes kill/restart so two concurrent kills can never observe

@@ -903,7 +903,7 @@ void run_fleet_batch_storm_at_seed(std::uint64_t seed) {
   // The aggregated stats fold every surviving shard's scheduler counters;
   // a killed shard takes its counts with it, so the sum is a lower bound
   // that must stay consistent with itself and non-trivial.
-  const ServerStats agg = fleet.aggregated_stats();
+  const ServerStats agg = fleet.aggregated_stats().value();
   EXPECT_GE(agg.batched_requests + agg.batch_bypass, 1u);
   EXPECT_LE(agg.batched_requests + agg.batch_bypass, agg.requests);
   if (agg.batch_flushes + agg.batch_bypass > 0) {

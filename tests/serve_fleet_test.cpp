@@ -313,7 +313,7 @@ TEST(ShardFleetTest, RegistryCountersComeFromTheSharedRegistryOnce) {
   }
   // Every shard reads the one registry, so each shard snapshot reports
   // the same load; the fleet view must count it once, not per shard.
-  const ServerStats agg = f.fleet->aggregated_stats();
+  const ServerStats agg = f.fleet->aggregated_stats().value();
   EXPECT_EQ(f.registry.loads(), 1u);
   EXPECT_EQ(agg.models_loaded, f.registry.loads());
   EXPECT_EQ(agg.models_trained, f.registry.trainings());
@@ -791,14 +791,23 @@ EventLoopServer::BatchDispatch batch_dispatch_to(ShardFleet& fleet) {
   };
 }
 
+ServeOptions shard_options() {
+  ServeOptions opt;
+  opt.threads = 2;
+  return opt;
+}
+
 struct ShardProcesses {
   ShardProcesses(const std::string& name, std::size_t n)
+      : ShardProcesses(name, std::vector<ServeOptions>(n, shard_options())) {}
+
+  /// One shard per entry, each a Server built with that entry.
+  ShardProcesses(const std::string& name,
+                 const std::vector<ServeOptions>& shards)
       : dir(test::scratch_dir(name)), registry(dir) {
     ml::save_gb(fleet_gb(), registry.artifact_path("aurora", "gb"));
-    ServeOptions opt;
-    opt.threads = 2;
     std::vector<int> ports;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (const ServeOptions& opt : shards) {
       Server& server = *servers.emplace_back(
           std::make_unique<Server>(registry, opt));
       listeners.push_back(std::make_unique<EventLoopServer>(
@@ -927,6 +936,60 @@ TEST(ProcessShardTest, ADestroyedShardIsMarkedDeadAndFailsOverInRingOrder) {
     }
   }
   EXPECT_EQ(merged.stats.requests, live_requests);
+}
+
+// A shard that sheds the stats probe is busy, not gone: the merge leaves it
+// out, and it stays alive and keeps its keys.
+TEST(ProcessShardTest, AShardThatShedsTheStatsProbeStaysAlive) {
+  const Request req = stq(134, 951);
+  HashRing ring;
+  for (int s = 0; s < 2; ++s) ring.add(s);
+  const auto busy = static_cast<std::size_t>(
+      ring.owner(HashRing::request_key(req, "aurora", "gb")));
+
+  // The busy shard has one worker, admits one queued task, and stalls
+  // 300-900 ms before every task.
+  FaultOptions fopt;
+  fopt.worker_stall = 1.0;
+  fopt.worker_stall_ms = 600.0;
+  FaultInjector fault(fopt);
+  std::vector<ServeOptions> shards(2, shard_options());
+  shards[busy].threads = 1;
+  shards[busy].max_queue_depth = 1;
+  shards[busy].fault_injector = &fault;
+  ShardProcesses p("process_overloaded", shards);
+  Server& server = *p.servers[busy];
+
+  // Occupy the worker, then fill the queue behind it.
+  std::promise<Response> first_done;
+  std::promise<Response> second_done;
+  server.submit_with(stq(100, 500), [&](Response r) {
+    first_done.set_value(std::move(r));
+  });
+  while (fault.injected(FaultPoint::kWorkerStall) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.submit_with(stq(120, 700), [&](Response r) {
+    second_done.set_value(std::move(r));
+  });
+
+  Request stats;
+  stats.op = Op::kStats;
+  const Response merged = p.fleet->handle(stats);
+  EXPECT_EQ(server.stats().shed, 1u) << "the stats probe was not shed";
+  ASSERT_TRUE(merged.has_stats) << merged.error;
+  EXPECT_EQ(merged.stats.requests, p.servers[1 - busy]->stats().requests);
+  EXPECT_TRUE(p.fleet->alive(busy));
+  EXPECT_EQ(p.fleet->counters().alive, 2u);
+
+  EXPECT_TRUE(first_done.get_future().get().ok);
+  EXPECT_TRUE(second_done.get_future().get().ok);
+  const std::uint64_t before = server.stats().requests;
+  EXPECT_EQ(p.fleet->route_of(req), static_cast<int>(busy));
+  const Response answer = submit_and_wait(*p.fleet, req);
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(server.stats().requests, before + 1);
+  EXPECT_EQ(p.fleet->counters().failovers, 0u);
 }
 
 // A frame holding a stats record is not answered on the calling thread:

@@ -28,7 +28,8 @@
 ///       binary frame by its first record, goes to the shard owning its
 ///       (machine, model, O, V) key over a pooled binary-wire connection,
 ///       failing over in ring order if a shard dies; `stats` merges every
-///       live shard. Round trips run on --threads router workers (0 = 4).
+///       live shard's snapshot (a shard that sheds it is skipped, not
+///       dead). Round trips run on --threads router workers (0 = 4).
 ///       Pre-train artifacts so shards start instantly and reproducibly.
 ///
 ///       --max-queue bounds each worker backlog: beyond it, requests are
@@ -354,7 +355,7 @@ int cmd_serve_fleet(const std::map<std::string, std::string>& flags,
     }
     std::cout.flush();
 
-    print_final_stats(fleet.aggregated_stats());
+    if (const auto s = fleet.aggregated_stats()) print_final_stats(*s);
     const serve::FleetCounters c = fleet.counters();
     std::fprintf(stderr, "fleet router: %llu forwarded, %llu failovers\n",
                  static_cast<unsigned long long>(c.routed),
